@@ -20,7 +20,7 @@ judge instead.  Only unreadable/malformed invocations exit non-zero
 Usage::
 
     python scripts/check_bench_trend.py BENCH_engine.json \
-        --watch engine_parallel_speedup_4w --watch engine_thread_speedup_4w
+        --watch engine_thread_speedup_2w --watch engine_process_speedup_2w
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ from pathlib import Path
 from typing import List, Optional
 
 #: Benchmarks where *larger is better* and a sudden drop merits a look.
-DEFAULT_WATCHED = ("engine_parallel_speedup_4w",)
+DEFAULT_WATCHED = (
+    "engine_thread_speedup_2w",
+    "engine_process_speedup_2w",
+    "engine_process_over_thread_2w",
+)
 
 #: Benchmarks where *smaller is better* and a sudden rise merits a look.
 DEFAULT_WATCHED_OVERHEAD = (

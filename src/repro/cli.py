@@ -8,9 +8,9 @@ Subcommands
   to export every table as CSV.  ``--checkpoint DIR`` records completed
   experiments so an interrupted sweep can continue with ``--resume``;
   ``--time-budget SECONDS`` stops gracefully between experiments;
-  ``--workers N`` runs the Monte-Carlo trials on a worker pool and
-  ``--executor serial|thread|process|auto`` picks the backend
-  (bit-identical results either way).
+  ``--workers N`` runs the Monte-Carlo trials on N workers: threads
+  for tasks that release the GIL, processes otherwise (bit-identical
+  results either way).
 - ``fullview lifetime`` — simulate network lifetime under a per-epoch
   failure schedule via the checkpointed resilient runner (supports
   ``--checkpoint/--resume/--time-budget`` at trial granularity).
@@ -34,9 +34,8 @@ Subcommands
 ``run``, ``lifetime`` and ``workloads`` accept ``--trace PATH`` and
 ``--metrics PATH`` to record structured telemetry (see
 :mod:`repro.obs`), ``--status PATH``/``--ledger [PATH]`` for live
-progress and the run ledger, plus ``--executor`` to scope the
-trial-executor backend for the whole command; all are off by default
-and never perturb results.
+progress and the run ledger; all are off by default and never perturb
+results.
 """
 
 from __future__ import annotations
@@ -133,18 +132,6 @@ def _obs_context(args: argparse.Namespace, command: str):
     )
 
 
-def _executor_context(args: argparse.Namespace):
-    """The ``--executor`` scope: backend selection for the whole command.
-
-    Only an explicitly-passed flag becomes a scoped override; otherwise
-    every config keeps resolving from the ``FULLVIEW_EXECUTOR``
-    environment variable (else ``auto``), mirroring the fault scope.
-    """
-    from repro.simulation.engine import executor_scope
-
-    return executor_scope(getattr(args, "executor", None))
-
-
 def _fault_context(args: argparse.Namespace):
     """The ``--max-retries``/``--chunk-timeout``/``--chaos`` fault scope.
 
@@ -172,7 +159,7 @@ def _fault_context(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with _obs_context(args, "run"), _fault_context(args), _executor_context(args):
+    with _obs_context(args, "run"), _fault_context(args):
         return _run_body(args)
 
 
@@ -231,9 +218,7 @@ def _run_body(args: argparse.Namespace) -> int:
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:
-    with _obs_context(args, "lifetime"), _fault_context(args), _executor_context(
-        args
-    ):
+    with _obs_context(args, "lifetime"), _fault_context(args):
         return _lifetime_body(args)
 
 
@@ -374,9 +359,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    with _obs_context(args, "workloads"), _fault_context(args), _executor_context(
-        args
-    ):
+    with _obs_context(args, "workloads"), _fault_context(args):
         return _workloads_body(args)
 
 
@@ -493,7 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         service_workers=args.service_workers,
         workers=args.workers,
-        executor=args.executor,
         ledger_path=ledger,
     )
 
@@ -778,18 +760,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor", default=None,
-        choices=("auto", "serial", "thread", "process"),
-        help="trial executor backend: 'thread' shares the task by "
-        "reference and relies on numpy releasing the GIL, 'process' "
-        "ships it once per run via shared memory, 'auto' (the default, "
-        "or FULLVIEW_EXECUTOR) picks threads for the numpy-bound "
-        "estimator tasks; results are bit-identical across backends",
-    )
-
-
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-retries", type=int, default=None, metavar="N",
@@ -843,11 +813,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run Monte-Carlo trials on a process pool of N workers "
-        "(results are bit-identical to serial; default: serial, or the "
+        help="run Monte-Carlo trials on N workers: threads for tasks "
+        "that release the GIL, processes otherwise (results are "
+        "bit-identical to serial; default: serial, or the "
         "FULLVIEW_WORKERS environment variable)",
     )
-    _add_executor_argument(p_run)
     _add_obs_arguments(p_run)
     _add_fault_arguments(p_run)
     p_run.set_defaults(func=_cmd_run)
@@ -917,11 +887,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_life.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run lifetime trials on a process pool of N workers "
+        help="run lifetime trials on N worker threads "
         "(bit-identical to serial; checkpoints stay contiguous)",
     )
     p_life.add_argument("--out", help="directory for CSV exports")
-    _add_executor_argument(p_life)
     _add_obs_arguments(p_life)
     _add_fault_arguments(p_life)
     p_life.set_defaults(func=_cmd_lifetime)
@@ -936,9 +905,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--seed", type=int, default=0)
     p_work.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run Monte-Carlo trials on a process pool of N workers",
+        help="run Monte-Carlo trials on N workers (threads or "
+        "processes, chosen per task)",
     )
-    _add_executor_argument(p_work)
     _add_obs_arguments(p_work)
     _add_fault_arguments(p_work)
     p_work.set_defaults(func=_cmd_workloads)
@@ -1035,7 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'cached' row per persistent-cache hit); with no PATH, the "
         "default ledger — inspect with 'fullview runs'",
     )
-    _add_executor_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_watch = sub.add_parser(

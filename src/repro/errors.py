@@ -19,7 +19,6 @@ __all__ = [
     "InvalidProfileError",
     "LintError",
     "ObservabilityError",
-    "PayloadError",
     "SchemaError",
     "ServiceError",
 ]
@@ -98,15 +97,6 @@ class ObservabilityError(FullViewError, RuntimeError):
 
     Raised when a trace JSONL file cannot be parsed into a run report,
     or when an obs sink cannot be opened for writing.
-    """
-
-
-class PayloadError(FullViewError, RuntimeError):
-    """A shared-memory payload segment is missing or corrupt.
-
-    Raised when a worker resolves a task registration whose segment
-    bytes no longer match the content digest in its handle — the
-    shared-memory analogue of a truncated checkpoint.
     """
 
 

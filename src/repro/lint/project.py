@@ -249,7 +249,7 @@ class ProjectModel:
     def seam_roots(self) -> List[FunctionInfo]:
         """The worker-executed entry points the call graph grows from.
 
-        ``_run_chunk`` (the chunk body the process pool executes) plus
+        ``_run_chunk`` (the chunk body both worker pools execute) plus
         the ``__call__`` of every task class.
         """
         roots: List[FunctionInfo] = []

@@ -19,22 +19,18 @@ FV007/FV008 check only functions conservatively reachable from the
 worker seams (``engine._run_chunk`` and every task ``__call__``); the
 :mod:`repro.obs` modules are exempt — the per-chunk trace aggregation
 is the audited channel for wall-clock telemetry and is documented to
-never feed trial values.  FV007 additionally honours
-:data:`AUDITED_WORKER_GLOBALS`, a reviewed allowlist of worker-side
-caches (currently the payload plane's content-addressed segment and
-task caches) whose per-process state provably cannot change results.
+never feed trial values.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.model import Finding, ModuleContext, ProjectRule, Severity, register_rule
 from repro.lint.project import ClassInfo, FunctionInfo, ProjectModule, attr_chain
 
 __all__ = [
-    "AUDITED_WORKER_GLOBALS",
     "HiddenNondeterminismRule",
     "PickleSafetyRule",
     "WorkerStateHygieneRule",
@@ -116,24 +112,6 @@ _NONDET_SOURCES = {
     "datetime.datetime.today",
     "datetime.date.today",
 }
-
-
-#: FV007 explicit allowlist: worker-side caches that are *designed* to
-#: be per-process and have been audited for divergence-safety.  The
-#: payload plane's attach/task caches hold content-addressed immutable
-#: data (a digest can only ever resolve to one value), so a cold cache
-#: and a warm cache produce bit-identical trial results — the caches
-#: change *when* bytes are mapped, never *what* a task computes.
-#: Entries are deliberately explicit (module → exact global names)
-#: rather than pragma comments so the audit surface stays reviewable
-#: in one place; anything not listed here still flags.
-AUDITED_WORKER_GLOBALS: Dict[str, FrozenSet[str]] = {
-    "repro.simulation.payload": frozenset(
-        {"_ATTACHED", "_LOCAL_SEGMENTS", "_TASK_CACHE", "_TASK_SEGMENTS"}
-    ),
-}
-
-_NO_AUDITED: FrozenSet[str] = frozenset()
 
 
 def _is_audited_module(module_name: str) -> bool:
@@ -352,8 +330,7 @@ class WorkerStateHygieneRule(ProjectRule):
         "functions reachable from the worker seams (_run_chunk, task "
         "__call__) must not read or write module-level mutable globals: "
         "each worker process has its own copy, so serial and parallel "
-        "runs silently diverge (the audited repro.obs path and the "
-        "AUDITED_WORKER_GLOBALS allowlist entries are exempt)"
+        "runs silently diverge (the audited repro.obs path is exempt)"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -411,8 +388,6 @@ class WorkerStateHygieneRule(ProjectRule):
             if hit is None:
                 continue
             node_, name, owner = hit
-            if name in AUDITED_WORKER_GLOBALS.get(owner, _NO_AUDITED):
-                continue
             key = (getattr(node_, "lineno", 0), name)
             if key in seen:
                 continue

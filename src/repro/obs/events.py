@@ -38,8 +38,6 @@ __all__ = [
     "RunFinished",
     "RunProgress",
     "RunStarted",
-    "SegmentsReleased",
-    "TaskRegistered",
     "TrialQuarantined",
     "active_event_log",
     "event_scope",
@@ -102,29 +100,6 @@ class PoolRespawned:
 
     workers: int
     reason: str
-
-
-@dataclass(frozen=True)
-class TaskRegistered:
-    """A run's task was registered on the payload plane.
-
-    Emitted once per parallel run (process backend): the task's arrays
-    and pickle body went into ``segments`` shared-memory segments
-    totalling ``payload_bytes``, and every chunk submission of the run
-    ships only the content ``digest``.
-    """
-
-    digest: str
-    payload_bytes: int
-    segments: int
-
-
-@dataclass(frozen=True)
-class SegmentsReleased:
-    """A run's shared-memory payload segments were unlinked."""
-
-    segments: int
-    payload_bytes: int
 
 
 @dataclass(frozen=True)
@@ -228,8 +203,6 @@ class EventLog:
             ChunkFellBack,
             ChunkRetried,
             PoolRespawned,
-            TaskRegistered,
-            SegmentsReleased,
             TrialQuarantined,
             CheckpointWritten,
             CheckpointRecovered,

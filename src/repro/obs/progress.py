@@ -76,9 +76,11 @@ class ProgressTracker:
 
     Concurrency contract: *single producer, any readers*.  The feed
     methods (:meth:`begin`/:meth:`advance`/:meth:`note`/:meth:`finish`)
-    are called from the one parent thread draining executor batches;
-    the read side (:meth:`snapshot`, the properties, a ``watch``
-    follower) is safe from any thread at any time.
+    are called from the one parent thread draining executor batches —
+    except :meth:`note`, which takes the lock and so is also safe from
+    trial threads (the lifetime epochs note from them); the read side
+    (:meth:`snapshot`, the properties, a ``watch`` follower) is safe
+    from any thread at any time.
 
     Parameters
     ----------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -155,8 +155,8 @@ def simulate_lifetime(
         if break_epoch is None and fraction < 1.0:
             break_epoch = epoch
         # Telemetry only (no-op without an obs context; worker
-        # processes never have one, so parallel sweeps stay silent
-        # here and report via chunk traces instead).
+        # processes never have one, while worker threads feed the
+        # parent's thread-safe log and tracker).
         if log is not None:
             log.emit(
                 EpochAdvanced(epoch=epoch, alive=len(fleet), coverage=fraction)
@@ -237,6 +237,10 @@ class LifetimeTask:
     avoid rebuilding per trial).
     """
 
+    #: Every epoch is a batch coverage kernel, so ``executor_for`` may
+    #: run lifetime sweeps on threads.
+    releases_gil: ClassVar[bool] = True
+
     profile: HeterogeneousProfile
     n: int
     theta: float
@@ -288,6 +292,8 @@ class LifetimeValueTask:
     numeric outcomes, so this wrapper reduces each trace to its
     lifetime.  Frozen and picklable like the task it wraps.
     """
+
+    releases_gil: ClassVar[bool] = True
 
     task: LifetimeTask
 

@@ -12,7 +12,7 @@ question once and serves it many times:
 - :mod:`repro.service.coalesce` — concurrent identical requests share
   one in-flight computation;
 - :mod:`repro.service.jobs` — the synchronous request-to-facade
-  mapping, executed in a worker pool through ``executor_scope``;
+  mapping, executed in a worker pool;
 - :mod:`repro.service.client` — a blocking stdlib client for tests,
   benchmarks and scripts.
 

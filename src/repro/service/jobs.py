@@ -2,9 +2,9 @@
 
 Each wire request maps onto exactly one :mod:`repro.api` call, run in
 a worker thread by the server and returned as a JSON-ready result
-body.  Worker count and executor backend are *server policy*, not part
-of the wire schema or the cache key: the numbers a request produces
-are bit-identical across executors (the engine guarantees it), so two
+body.  The engine worker count is *server policy*, not part of the
+wire schema or the cache key: the numbers a request produces are
+bit-identical across executors (the engine guarantees it), so two
 deployments of the service with different parallelism still share
 cache entries.
 """
@@ -21,7 +21,6 @@ from repro.api.schemas import (
     WireBody,
 )
 from repro.errors import ServiceError
-from repro.simulation.engine import executor_scope
 from repro.simulation.statistics import BernoulliEstimate
 
 __all__ = [
@@ -122,24 +121,15 @@ def _run_estimate(
 
 
 def run_request(
-    request: WireBody,
-    *,
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
+    request: WireBody, *, workers: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Compute the result body for one parsed wire request.
-
-    Runs inside :class:`~repro.simulation.engine.executor_scope` so
-    every Monte-Carlo config built below resolves to the server's
-    configured backend, exactly like ``--executor`` on the CLI.
-    """
-    with executor_scope(executor):
-        if isinstance(request, DeployRequest):
-            return _run_deploy(request)
-        if isinstance(request, EvaluateRequest):
-            return _run_evaluate(request)
-        if isinstance(request, EstimateRequest):
-            return _run_estimate(request, workers)
+    """Compute the result body for one parsed wire request."""
+    if isinstance(request, DeployRequest):
+        return _run_deploy(request)
+    if isinstance(request, EvaluateRequest):
+        return _run_evaluate(request)
+    if isinstance(request, EstimateRequest):
+        return _run_estimate(request, workers)
     raise ServiceError(
         f"no compute mapped for request type {type(request).__name__}"
     )

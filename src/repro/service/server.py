@@ -19,10 +19,10 @@ The request path is, in order:
    computations past ``queue_limit`` is refused with HTTP 503
    (``service_rejections``), keeping the worker pool's queue bounded.
 5. **Compute** — the leader runs the job in a thread pool through the
-   three-executor engine (``executor_scope``), inside a
-   ``service.<endpoint>`` trace span, then caches, resolves followers
-   and appends an ``outcome="ok"`` ledger row.  Only misses append
-   ok/error rows, so ledger throughput numbers count real engine runs.
+   engine, inside a ``service.<endpoint>`` trace span, then caches,
+   resolves followers and appends an ``outcome="ok"`` ledger row.
+   Only misses append ok/error rows, so ledger throughput numbers
+   count real engine runs.
 
 Shutdown is graceful: the listener closes first, in-flight
 computations drain, then the pool stops.  Counters, gauges
@@ -57,6 +57,7 @@ from repro.obs.trace import span
 from repro.service.cache import ResultCache, cache_key
 from repro.service.coalesce import Coalescer
 from repro.service.jobs import run_request
+from repro.simulation.engine import MonteCarloConfig
 
 __all__ = [
     "CoverageService",
@@ -87,9 +88,10 @@ class CoverageService:
         Maximum computations pending at once; leaders beyond it get 503.
     service_workers:
         Threads in the compute pool.
-    workers, executor:
-        Engine policy forwarded to every job (``--workers`` /
-        ``--executor`` equivalents); not part of the cache key.
+    workers:
+        Engine workers forwarded to every job (the ``--workers``
+        equivalent; ``None`` defers to ``FULLVIEW_WORKERS``); not part
+        of the cache key.
     metrics:
         Registry for the service counters; defaults to a fresh one.
     ledger_path:
@@ -104,7 +106,6 @@ class CoverageService:
         queue_limit: int = 8,
         service_workers: int = 2,
         workers: Optional[int] = None,
-        executor: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
         ledger_path: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -120,7 +121,6 @@ class CoverageService:
         self.queue_limit = queue_limit
         self.service_workers = service_workers
         self.workers = workers
-        self.executor = executor
         self.ledger_path = Path(ledger_path) if ledger_path is not None else None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -346,13 +346,7 @@ class CoverageService:
         try:
             with span(f"service.{endpoint}", key=key[:12]):
                 result = await loop.run_in_executor(
-                    self._pool,
-                    partial(
-                        run_request,
-                        request,
-                        workers=self.workers,
-                        executor=self.executor,
-                    ),
+                    self._pool, partial(run_request, request, workers=self.workers)
                 )
         except Exception as exc:
             elapsed = time.perf_counter() - started
@@ -426,6 +420,7 @@ class CoverageService:
         trials = int(canonical.get("trials", 0) or 0)
         completed = trials if outcome == "ok" else 0
         rate = completed / wall_seconds if wall_seconds > 0 else 0.0
+        engine = MonteCarloConfig(trials=1, workers=self.workers)
         row = {
             "format": LEDGER_FORMAT,
             "run_id": new_run_id(),
@@ -433,8 +428,8 @@ class CoverageService:
             "config_digest": config_digest(canonical),
             "seed": int(canonical.get("seed", 0) or 0),
             "git_sha": self._git_sha,
-            "executor": self.executor or "auto",
-            "workers": self.workers if self.workers is not None else 1,
+            "executor": engine.resolved_executor(),
+            "workers": engine.resolved_workers(),
             "wall_seconds": wall_seconds,
             "trials_per_sec": rate,
             "trials_completed": completed,

@@ -7,9 +7,6 @@ the paper can be validated by simulation:
 - :mod:`repro.simulation.engine` — the trial-execution engine: seeded
   per-trial RNG streams, ``TrialOutcome`` records, and serial /
   thread / process executors that produce bit-identical results.
-- :mod:`repro.simulation.payload` — the payload plane: shared-memory
-  array segments and content-digest task registration, so process
-  workers receive a run's payload bytes once instead of once per chunk.
 - :mod:`repro.simulation.statistics` — Bernoulli estimates with Wilson
   and Clopper-Pearson intervals, and agreement tests against theory.
 - :mod:`repro.simulation.montecarlo` — seeded trial tasks and runners
@@ -34,19 +31,12 @@ from repro.simulation.engine import (
     TrialOutcome,
     execute_trials,
     executor_for,
-    executor_scope,
     run_trial,
 )
 from repro.simulation.faults import (
     ChaosPolicy,
     RetryPolicy,
     fault_scope,
-)
-from repro.simulation.payload import (
-    ArrayRef,
-    PayloadStore,
-    TaskRef,
-    resolve_task,
 )
 from repro.simulation.montecarlo import (
     estimate_area_fraction,
@@ -63,26 +53,21 @@ from repro.simulation.runner import (
 from repro.simulation.statistics import BernoulliEstimate, wilson_interval
 
 __all__ = [
-    "ArrayRef",
     "BernoulliEstimate",
     "ChaosPolicy",
     "MonteCarloConfig",
     "ParallelExecutor",
-    "PayloadStore",
     "ResilientResult",
     "ResultTable",
     "RetryPolicy",
     "SerialExecutor",
-    "TaskRef",
     "ThreadExecutor",
     "TrialExecutor",
     "TrialFailure",
     "TrialOutcome",
     "execute_trials",
     "executor_for",
-    "executor_scope",
     "fault_scope",
-    "resolve_task",
     "make_point_probability_trial",
     "run_resilient_trials",
     "run_trial",

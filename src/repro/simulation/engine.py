@@ -18,35 +18,19 @@ as three separable pieces:
   pickle cleanly into worker processes.
 - A pluggable *executor*.  :class:`SerialExecutor` runs trials inline,
   one per batch (preserving per-trial budget checks and checkpoint
-  cadence exactly).  :class:`ParallelExecutor` dispatches contiguous
-  chunks of trials to a warm, process-lifetime ``ProcessPoolExecutor``
-  (one per worker count, started via a fork-safe method) and yields
-  each chunk's outcomes in trial order; a chunk whose worker dies is
-  transparently re-executed in-process (fault isolation per chunk), so
-  a broken pool degrades to the serial path instead of losing the
-  sweep.  :class:`ThreadExecutor` runs the same chunked ladder on a
-  thread pool: no pickling, no process boundary — the win comes from
-  numpy releasing the GIL inside the batch kernels.
+  cadence exactly).  :class:`ThreadExecutor` and
+  :class:`ParallelExecutor` are the two backends of one chunked
+  executor: contiguous chunks of trials go to a thread pool or to a
+  warm, process-lifetime ``ProcessPoolExecutor`` (one per worker count,
+  started via a fork-safe method), and each chunk's outcomes are
+  yielded in trial order.  Both walk the same fault ladder — retry,
+  respawn, quarantine, in-process fallback — so a broken pool degrades
+  to the serial path instead of losing the sweep.
 
-The process backend rides the payload plane
-(:mod:`repro.simulation.payload`): a run registers its task once — big
-ndarrays land in shared-memory segments, the task body in one more —
-and every chunk submission carries only a content-digest
-:class:`~repro.simulation.payload.TaskRef` plus trial indices, so
-payload bytes cross the boundary once per run instead of once per
-chunk.  Workers resolve handles lazily and cache per process; named
-segments survive pool respawns, so the faults ladder re-attaches for
-free.  Tasks that cannot pickle skip registration and fall back to
-inline shipping (and ultimately in-process execution) exactly as
-before.
-
-Backend selection is layered like the fault policies: an explicit
-``executor`` field on :class:`MonteCarloConfig` wins, else a scoped
-:class:`executor_scope` (what ``--executor`` installs), else the
-:data:`EXECUTOR_ENV_VAR` environment variable, else ``auto`` — which
-picks threads when the task advertises ``releases_gil`` (the estimator
-tasks do; their inner loops are numpy kernels) and processes
-otherwise.
+Backend selection has one rule (:func:`executor_for`): one worker runs
+serially; with more, a task that advertises ``releases_gil`` runs on
+threads (the estimator and lifetime tasks do — their inner loops are
+numpy kernels that drop the GIL) and any other task on processes.
 
 Executors yield batches *in trial order* even though parallel chunks
 complete out of order; consumers therefore always observe a contiguous
@@ -54,7 +38,7 @@ prefix of the sweep, which is exactly the invariant the checkpointed
 runner (:mod:`repro.simulation.runner`) needs to resume at any index.
 
 The engine is instrumented for :mod:`repro.obs`: with an active obs
-context every trial runs inside a ``"trial"`` span, parallel chunks
+context every trial runs inside a ``"trial"`` span, process chunks
 ship their spans back as aggregated :class:`~repro.obs.trace.ChunkTrace`
 records merged in trial order, and sweeps emit
 ``RunStarted``/``ChunkDispatched``/``ChunkFellBack``/``RunFinished``
@@ -76,17 +60,17 @@ import math
 import multiprocessing
 import os
 import time
-import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import (
     BrokenExecutor,
+    Executor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,8 +82,6 @@ from repro.obs.events import (
     PoolRespawned,
     RunFinished,
     RunStarted,
-    SegmentsReleased,
-    TaskRegistered,
     TrialQuarantined,
     active_event_log,
 )
@@ -120,10 +102,8 @@ from repro.simulation.faults import (
     resolve_chaos_policy,
     resolve_retry_policy,
 )
-from repro.simulation.payload import PayloadStore, TaskRef, prime_worker, resolve_task
 
 __all__ = [
-    "EXECUTOR_ENV_VAR",
     "MonteCarloConfig",
     "ParallelExecutor",
     "SerialExecutor",
@@ -132,10 +112,8 @@ __all__ = [
     "TrialOutcome",
     "TrialTask",
     "WORKERS_ENV_VAR",
-    "active_executor_kind",
     "execute_trials",
     "executor_for",
-    "executor_scope",
     "run_trial",
     "shutdown_worker_pools",
 ]
@@ -145,66 +123,8 @@ __all__ = [
 #: entire test suite without touching call sites.
 WORKERS_ENV_VAR = "FULLVIEW_WORKERS"
 
-#: Environment variable selecting the executor backend when neither a
-#: config field nor an :class:`executor_scope` names one; lets a CI job
-#: drive the whole suite through one backend.  Accepts the same values
-#: as ``--executor``: ``serial``, ``thread``, ``process`` or ``auto``.
-EXECUTOR_ENV_VAR = "FULLVIEW_EXECUTOR"
-
-#: Recognised executor kinds, in documentation order.
-EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
-
 #: A trial task: derive everything from ``rng``, return a small record.
 TrialTask = Callable[[int, np.random.Generator], Any]
-
-
-def _validated_kind(kind: str, source: str) -> str:
-    kind = kind.strip().lower()
-    if kind not in EXECUTOR_KINDS:
-        known = ", ".join(EXECUTOR_KINDS)
-        raise InvalidParameterError(
-            f"{source} must be one of {known}; got {kind!r}"
-        )
-    return kind
-
-
-#: Process-wide scoped executor kind (installed by :class:`executor_scope`);
-#: ``None`` falls through to :data:`EXECUTOR_ENV_VAR`.  Parent-only, like
-#: the scoped fault policies: workers never consult it.
-_ACTIVE_EXECUTOR: Optional[str] = None
-
-
-def active_executor_kind() -> Optional[str]:
-    """The scoped executor kind, if an :class:`executor_scope` installed one."""
-    return _ACTIVE_EXECUTOR
-
-
-class executor_scope:
-    """Context manager scoping the executor backend (restores on exit).
-
-    ``--executor`` on the CLI installs one of these around the whole
-    command, so every config built inside the experiment — none of
-    which sets the ``executor`` field — resolves to the requested
-    backend.  ``None`` leaves resolution to the environment variable,
-    so a scope built from CLI flags only overrides what the user
-    actually passed; an explicit config field always wins over the
-    scope, mirroring :class:`~repro.simulation.faults.fault_scope`.
-    """
-
-    def __init__(self, kind: Optional[str] = None) -> None:
-        self._kind = None if kind is None else _validated_kind(kind, "executor")
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "executor_scope":
-        global _ACTIVE_EXECUTOR
-        self._previous = _ACTIVE_EXECUTOR
-        if self._kind is not None:
-            _ACTIVE_EXECUTOR = self._kind
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _ACTIVE_EXECUTOR
-        _ACTIVE_EXECUTOR = self._previous
 
 #: Upper bound on the automatic chunk size; keeps partial results
 #: flowing back to the consumer (checkpoints, budgets) on huge sweeps.
@@ -231,23 +151,17 @@ class MonteCarloConfig:
         (identical results either way; the vectorised batch kernels do
         not consult it).
     workers:
-        Worker processes for trial execution.  ``1`` runs serially,
-        ``> 1`` dispatches chunks to a process pool (bit-identical
-        results by construction).  ``None`` — the default — falls back
-        to the :data:`WORKERS_ENV_VAR` environment variable, else 1.
-    executor:
-        Executor backend: ``"serial"``, ``"thread"``, ``"process"`` or
-        ``"auto"``.  ``None`` — the default — falls back to the scoped
-        :class:`executor_scope`, else :data:`EXECUTOR_ENV_VAR`, else
-        ``"auto"``.  Results are bit-identical across all backends; the
-        field chooses purely on wall-clock grounds.
+        Workers for trial execution.  ``1`` runs serially, ``> 1``
+        dispatches chunks to a thread or process pool (see
+        :func:`executor_for`; bit-identical results by construction).
+        ``None`` — the default — falls back to the
+        :data:`WORKERS_ENV_VAR` environment variable, else 1.
     """
 
     trials: int = 200
     seed: int = 0
     use_index: bool = True
     workers: Optional[int] = None
-    executor: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -256,10 +170,6 @@ class MonteCarloConfig:
             raise InvalidParameterError(
                 f"workers must be >= 1 (or None for the environment default), "
                 f"got {self.workers!r}"
-            )
-        if self.executor is not None:
-            object.__setattr__(
-                self, "executor", _validated_kind(self.executor, "executor")
             )
 
     def rng_for_trial(self, trial: int) -> np.random.Generator:
@@ -289,24 +199,6 @@ class MonteCarloConfig:
         for trial in range(self.trials):
             yield self.rng_for_trial(trial)
 
-    def rngs_list(self) -> List[np.random.Generator]:
-        """Deprecated eager shim; address trials with :meth:`rng_for_trial`.
-
-        .. deprecated::
-            Materialising one generator per trial defeats the O(1)
-            addressability that checkpointing and parallel execution
-            are built on.  Call ``rng_for_trial(i)`` for a single
-            trial's generator or iterate :meth:`rngs` lazily.
-        """
-        warnings.warn(
-            "MonteCarloConfig.rngs_list() is deprecated; use "
-            "rng_for_trial(i) for O(1) access to one trial's generator "
-            "(or iterate rngs() lazily)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.rngs())
-
     def resolved_workers(self) -> int:
         """The effective worker count (explicit field, else environment).
 
@@ -332,21 +224,13 @@ class MonteCarloConfig:
         return value
 
     def resolved_executor(self) -> str:
-        """The effective backend kind (field, scope, environment, auto).
+        """``"serial"`` for one resolved worker, else ``"auto"``.
 
-        Resolution mirrors the fault policies: the explicit ``executor``
-        field wins, else the scoped kind installed by
-        :class:`executor_scope` (what ``--executor`` does), else
-        :data:`EXECUTOR_ENV_VAR`, else ``"auto"``.
+        With more than one worker the backend is chosen per task by
+        :func:`executor_for` (threads for tasks that release the GIL,
+        processes otherwise), so ``"auto"`` is the only parallel kind.
         """
-        if self.executor is not None:
-            return self.executor
-        if _ACTIVE_EXECUTOR is not None:
-            return _ACTIVE_EXECUTOR
-        raw = os.environ.get(EXECUTOR_ENV_VAR, "").strip()
-        if not raw:
-            return "auto"
-        return _validated_kind(raw, EXECUTOR_ENV_VAR)
+        return "serial" if self.resolved_workers() == 1 else "auto"
 
 
 @dataclass(frozen=True)
@@ -434,7 +318,7 @@ def _chunk_loop(
 
 
 def _run_chunk(
-    task: Union[TrialTask, TaskRef],
+    task: TrialTask,
     config: MonteCarloConfig,
     trials: Sequence[int],
     isolate: bool,
@@ -444,30 +328,24 @@ def _run_chunk(
 ) -> Tuple[List[TrialOutcome], Optional[ChunkTrace], Optional[BaseException]]:
     """Run a contiguous chunk of trials (module-level, so it pickles).
 
-    ``task`` is either the callable itself (inline shipping, the
-    in-process fallback) or a :class:`~repro.simulation.payload.TaskRef`
-    resolved here against this process's payload cache — the first
-    chunk of a run in each worker pays one attach-and-unpickle, every
-    later chunk a dictionary lookup.
-
-    With ``trace`` a fresh recorder is installed for the chunk (the
-    previous recorder — ``None`` in worker processes, the run's own
-    recorder when falling back in-process — is restored afterwards)
-    and the chunk's spans come back aggregated as a picklable
-    :class:`ChunkTrace`, so traces survive the process-pool boundary.
-    The third element is a captured mid-chunk interrupt (see
-    :func:`_chunk_loop`), ``None`` on a clean run.
+    The one chunk body both pools execute, and the in-process probe and
+    fallback too.  With ``trace`` a fresh recorder is installed for the
+    chunk (the previous recorder — ``None`` in worker processes, the
+    run's own recorder when falling back in-process — is restored
+    afterwards) and the chunk's spans come back aggregated as a
+    picklable :class:`ChunkTrace`, so traces survive the process-pool
+    boundary.  Threads pass ``trace=False``: they record straight into
+    the parent's thread-safe recorder.  The third element is a captured
+    mid-chunk interrupt (see :func:`_chunk_loop`), ``None`` on a clean
+    run.
 
     ``chaos`` is the injection seam: an active policy may raise or
-    sleep here, *before any trial runs and before the task resolves*,
-    so injected faults can never perturb a trial generator — a retried
-    chunk (``attempt`` counts resubmissions) re-derives every stream
-    bit-identically.
+    sleep here, *before any trial runs*, so injected faults can never
+    perturb a trial generator — a retried chunk (``attempt`` counts
+    resubmissions) re-derives every stream bit-identically.
     """
     if chaos is not None:
         chaos.perturb_chunk(trials, attempt)
-    if isinstance(task, TaskRef):
-        task = resolve_task(task)
     if not trace:
         outcomes, interrupt = _chunk_loop(task, config, trials, isolate)
         return outcomes, None, interrupt
@@ -482,6 +360,19 @@ def _run_chunk(
     # carried beside the outcomes and never influences a trial value.
     wall_ns = time.perf_counter_ns() - start  # fvlint: disable=FV008 (telemetry only)
     return outcomes, recorder.to_chunk(tuple(trials), wall_ns), interrupt
+
+
+def _classify(exc: Exception) -> Tuple[str, str]:
+    """``(reason, failure)`` for a chunk attempt that raised ``exc``.
+
+    ``timeout`` and ``broken-pool`` are infrastructure failures (the
+    pool is respawned); anything else is ``worker-error``.
+    """
+    if isinstance(exc, FuturesTimeoutError):
+        return "timeout", "TimeoutError: chunk attempt exceeded deadline"
+    if isinstance(exc, BrokenExecutor):
+        return "broken-pool", f"{type(exc).__name__}: worker died"
+    return "worker-error", f"{type(exc).__name__}: {exc}"
 
 
 class TrialExecutor(ABC):
@@ -550,7 +441,7 @@ def _mp_context():
     )
 
 
-def _pool_for(workers: int, prime: Tuple[TaskRef, ...] = ()) -> ProcessPoolExecutor:
+def _pool_for(workers: int) -> ProcessPoolExecutor:
     pool = _POOL_CACHE.get(workers)
     if pool is not None and getattr(pool, "_broken", False):
         # A pool that broke mid-sweep must never be handed out again:
@@ -559,19 +450,7 @@ def _pool_for(workers: int, prime: Tuple[TaskRef, ...] = ()) -> ProcessPoolExecu
         _discard_pool(workers)
         pool = None
     if pool is None:
-        # ``prime`` pre-resolves the current run's registered tasks in
-        # every worker the new pool spawns — the respawn rung of the
-        # faults ladder re-attaches its segments before the first
-        # resubmitted chunk arrives.  Best-effort only (prime_worker
-        # never raises): lazy resolution in _run_chunk is what
-        # guarantees correctness, including for workers this pool
-        # spawns after the priming run has ended.
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_mp_context(),
-            initializer=prime_worker,
-            initargs=(prime,),
-        )
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
         _POOL_CACHE[workers] = pool
         metrics = active_metrics()
         if metrics is not None:
@@ -595,29 +474,29 @@ def shutdown_worker_pools() -> None:
         _discard_pool(workers)
 
 
-class ParallelExecutor(TrialExecutor):
-    """Chunked process-pool execution, bit-identical to serial.
+class _ChunkedExecutor(TrialExecutor):
+    """The one chunk ladder behind both parallel backends.
 
-    Trials are split into contiguous chunks, dispatched to a process
-    pool up front, and yielded chunk by chunk in submission order —
-    because every trial's generator is addressable, execution order
-    cannot affect results, only wall-clock.  Tasks and configs must
-    pickle (the estimator tasks are frozen dataclasses for exactly this
-    reason).
-
-    Pools are warm and shared: one pool per worker count lives for the
-    process (started via a fork-safe method, see :func:`_mp_context`),
-    so only the first parallel sweep pays worker startup.
+    Trials are split into contiguous chunks, dispatched to a pool up
+    front, and yielded chunk by chunk in submission order — because
+    every trial's generator is addressable, execution order cannot
+    affect results, only wall-clock.  A backend supplies only its pool:
+    :meth:`_open_pool`, :meth:`_release_pool`, and whether it crosses a
+    process boundary (:attr:`_crosses_processes`).
 
     Fault handling is a graceful-degradation ladder governed by a
     :class:`~repro.simulation.faults.RetryPolicy`.  A chunk whose pool
     attempt fails (worker raised, pool broke, per-attempt deadline
-    expired) is retried with exponential backoff up to
-    ``max_retries`` resubmissions; a broken or timed-out pool is
-    discarded and respawned up to ``max_pool_respawns`` times; when the
-    respawn budget is spent the rest of the sweep runs in-process
-    serially — the sweep *completes* in every regime, it only gets
-    slower.  Under ``isolate=True`` a chunk that exhausts its retries
+    expired) is retried with deterministic exponential backoff up to
+    ``max_retries`` resubmissions.  A broken or timed-out process pool
+    is discarded and respawned up to ``max_pool_respawns`` times; a
+    thread cannot be killed, so for threads the respawn is a no-op and
+    the retry simply goes to a fresh future.  When the respawn budget
+    is spent the rest of the sweep runs in-process serially — the sweep
+    *completes* in every regime, it only gets slower.  A task that
+    cannot cross the process boundary (a pickling failure) fails the
+    same way on every attempt, so it goes straight to the in-process
+    fallback.  Under ``isolate=True`` a chunk that exhausts its retries
     is bisected down to the offending trial, which is quarantined as a
     failed :class:`TrialOutcome` while every other trial's result
     survives.  Task-level exceptions keep their usual regime:
@@ -628,7 +507,7 @@ class ParallelExecutor(TrialExecutor):
     Parameters
     ----------
     workers:
-        Worker process count (>= 1).
+        Pool size (>= 1).
     chunk_size:
         Trials per dispatched chunk.  ``None`` — the default — sizes
         chunks adaptively: the sweep's first trial runs in-process as a
@@ -646,10 +525,15 @@ class ParallelExecutor(TrialExecutor):
     chaos:
         Fault-injection profile; ``None`` resolves the scoped policy,
         else ``FULLVIEW_CHAOS``, else no injection.  Chaos fires only
-        at the worker-boundary seam of :func:`_run_chunk` — never in
-        the in-process fallback and never in the probe — so results
-        remain bit-identical to a fault-free run.
+        at the pool seam of :func:`_run_chunk` — never in the
+        in-process fallback and never in the probe — so results remain
+        bit-identical to a fault-free run.
     """
+
+    #: Whether pool workers are separate processes: their spans come
+    #: back as :class:`ChunkTrace` records, and a hung or dead worker is
+    #: killed by respawning the pool.
+    _crosses_processes: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -669,6 +553,14 @@ class ParallelExecutor(TrialExecutor):
         self.retry = resolve_retry_policy(retry)
         self.chaos = resolve_chaos_policy(chaos)
 
+    @abstractmethod
+    def _open_pool(self) -> Executor:
+        """A pool ready to accept chunks."""
+
+    @abstractmethod
+    def _release_pool(self, pool: Executor, broken: bool) -> None:
+        """Done with ``pool``: the sweep ended, or the pool broke or hung."""
+
     def _adaptive_size(self, probe_seconds: float, remaining: int) -> int:
         """Chunk size targeting ≥ 50 ms of probed per-trial work."""
         if probe_seconds > 0:
@@ -678,14 +570,6 @@ class ParallelExecutor(TrialExecutor):
         size = max(1, min(size, _MAX_AUTO_CHUNK))
         # Never chunk so coarsely that some workers get nothing.
         return min(size, max(1, math.ceil(remaining / self.workers)))
-
-    def _chunks(self, trials: Sequence[int], size: Optional[int] = None) -> List[Sequence[int]]:
-        if size is None:
-            size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(trials) / (self.workers * 4)))
-            size = min(size, _MAX_AUTO_CHUNK)
-        return [trials[i : i + size] for i in range(0, len(trials), size)]
 
     def run(
         self,
@@ -698,32 +582,36 @@ class ParallelExecutor(TrialExecutor):
         if not trials:
             return
         recorder = active_recorder()
-        trace = recorder is not None
+        trace = recorder is not None and self._crosses_processes
         log = active_event_log()
         metrics = active_metrics()
         progress = active_progress()
         retry = self.retry
+        chaos = self.chaos
         probe_pair = None
-        if self.chunk_size is None:
+        pending = trials
+        size = self.chunk_size
+        if size is None:
             # Timed in-process probe of the sweep's first trial; its
             # wall time drives the chunk size for the rest.
             probe_start = time.perf_counter()
             probe_pair = _run_chunk(task, config, (trials[0],), isolate, trace)
             probe_seconds = time.perf_counter() - probe_start
-            rest = trials[1:]
-            size = self._adaptive_size(probe_seconds, len(rest))
-            chunks = self._chunks(rest, size) if rest else []
+            pending = trials[1:]
+            size = self._adaptive_size(probe_seconds, len(pending))
             if probe_pair[2] is not None:
                 # The probe itself was interrupted: surface what it
                 # produced, dispatch nothing.
-                chunks = []
+                pending = []
             if metrics is not None:
-                metrics.set_gauge("parallel_chunk_size", float(size))
                 metrics.set_gauge("parallel_probe_seconds", probe_seconds)
-        else:
-            chunks = self._chunks(trials)
-            if metrics is not None:
-                metrics.set_gauge("parallel_chunk_size", float(self.chunk_size))
+        if metrics is not None:
+            metrics.set_gauge("parallel_chunk_size", float(size))
+        chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
+
+        def in_process(chunk: Sequence[int]):
+            # The parent is not a worker: no chaos here.
+            return _run_chunk(task, config, tuple(chunk), isolate, trace)
 
         def fall_back(index: int, chunk: Sequence[int], reason: str):
             if metrics is not None:
@@ -739,15 +627,18 @@ class ParallelExecutor(TrialExecutor):
                         reason=reason,
                     )
                 )
-            return _run_chunk(task, config, tuple(chunk), isolate, trace)
+            return in_process(chunk)
 
-        def merge(pair) -> Tuple[List[TrialOutcome], Optional[BaseException]]:
-            batch, chunk_trace, interrupt = pair
+        def merge_trace(chunk_trace: Optional[ChunkTrace]) -> None:
             if chunk_trace is not None and recorder is not None:
                 recorder.merge_chunk(chunk_trace)
                 if metrics is not None:
                     for _trial, dur_ns in chunk_trace.trial_ns:
                         metrics.observe("trial_seconds", dur_ns / 1e9)
+
+        def merge(pair) -> Tuple[List[TrialOutcome], Optional[BaseException]]:
+            batch, chunk_trace, interrupt = pair
+            merge_trace(chunk_trace)
             # Every path to a yield funnels through here (probe, pool
             # result, fallback, quarantine), so one advance covers them
             # all — parent-side, after the batch exists.
@@ -757,95 +648,53 @@ class ParallelExecutor(TrialExecutor):
                 )
             return batch, interrupt
 
-        chaos = self.chaos
         futures: List[Optional[Future]] = [None] * len(chunks)
         attempts = [0] * len(chunks)
-        pool: Optional[ProcessPoolExecutor] = None
+        pool: Optional[Executor] = None
         respawns_left = retry.max_pool_respawns
         degraded_reason: Optional[str] = None
 
-        # Register the task once per run: big arrays into shared
-        # segments, the pickle body into one more, and every chunk
-        # submission below ships only the content-digest handle.  A
-        # task that cannot pickle cannot register either — it ships
-        # inline instead, and the existing serialization fallback
-        # applies unchanged.
-        payload: Optional[PayloadStore] = None
-        task_ref: Optional[TaskRef] = None
-        shipped: Union[TrialTask, TaskRef] = task
-        if chunks:
-            try:
-                payload = PayloadStore()
-                task_ref = payload.register_task(task)
-                shipped = task_ref
-            except Exception:
-                if payload is not None:
-                    payload.close()
-                payload = None
-                task_ref = None
-                shipped = task
-            else:
-                if metrics is not None:
-                    metrics.inc("payload_tasks_registered")
-                    metrics.inc("payload_bytes_shipped", payload.payload_bytes)
-                    metrics.set_gauge(
-                        "payload_segments_active", float(len(payload.segment_names()))
-                    )
-                if log is not None:
-                    log.emit(
-                        TaskRegistered(
-                            digest=task_ref.digest,
-                            payload_bytes=payload.payload_bytes,
-                            segments=len(payload.segment_names()),
-                        )
-                    )
-        prime = (task_ref,) if task_ref is not None else ()
-
-        def submit(index: int) -> Future:
-            chunk = chunks[index]
+        def dispatch(part: Sequence[int], attempt: int) -> Future:
             return pool.submit(
-                _run_chunk,
-                shipped,
-                config,
-                tuple(chunk),
-                isolate,
-                trace,
-                chaos,
-                attempts[index],
+                _run_chunk, task, config, tuple(part), isolate, trace, chaos, attempt
             )
 
-        def respawn(reason: str) -> None:
-            # One rung down the ladder: discard the broken/hung pool
-            # and start a fresh one (primed with this run's task
-            # handle, so its workers re-attach the named segments
-            # before the first resubmitted chunk arrives), unless the
-            # respawn budget is spent — then degrade to in-process
-            # serial for the rest of the sweep.
-            nonlocal pool, respawns_left, degraded_reason
-            _discard_pool(self.workers)
+        def degrade(reason: str) -> None:
+            # Bottom rung: the rest of the sweep runs in-process.
+            nonlocal pool, degraded_reason
+            if pool is not None:
+                self._release_pool(pool, broken=True)
             pool = None
+            degraded_reason = reason
+
+        def respawn(reason: str) -> bool:
+            # One rung down the ladder: replace the broken or hung pool,
+            # unless the respawn budget is spent — then degrade.  True
+            # when a fresh pool took over (queued chunks died with the
+            # old one).  A no-op for threads, which cannot be killed.
+            nonlocal pool, respawns_left
+            if not self._crosses_processes:
+                return False
+            degrade(reason)
             if respawns_left <= 0:
-                degraded_reason = reason
-                return
+                return False
             respawns_left -= 1
             try:
-                pool = _pool_for(self.workers, prime)
+                pool = self._open_pool()
             except Exception:
-                degraded_reason = reason
-                return
+                return False
             if metrics is not None:
                 metrics.inc("pool_respawns")
             if progress is not None:
                 progress.note("respawns")
             if log is not None:
                 log.emit(PoolRespawned(workers=self.workers, reason=reason))
+            return True
 
         def resubmit_pending(start: int) -> None:
-            # A discarded pool took its queued futures with it: keep
-            # every chunk that already completed cleanly, re-queue the
-            # rest on the fresh pool (same attempt index, so chaos
+            # Keep every chunk that already completed cleanly, re-queue
+            # the rest on the fresh pool (same attempt index, so chaos
             # decisions replay deterministically).
-            nonlocal pool, degraded_reason
             for i in range(start, len(chunks)):
                 f = futures[i]
                 if (
@@ -855,16 +704,13 @@ class ParallelExecutor(TrialExecutor):
                     and f.exception() is None
                 ):
                     continue
+                futures[i] = None
                 if pool is None:
-                    futures[i] = None
                     continue
                 try:
-                    futures[i] = submit(i)
+                    futures[i] = dispatch(chunks[i], attempts[i])
                 except Exception:
-                    _discard_pool(self.workers)
-                    pool = None
-                    degraded_reason = "submit-failed"
-                    futures[i] = None
+                    degrade("submit-failed")
 
         def quarantine(
             index: int, chunk: Sequence[int], failure: str
@@ -872,9 +718,9 @@ class ParallelExecutor(TrialExecutor):
             # Bisect an exhausted chunk down to the offending trial(s).
             # Parts run through the pool at the chunk's final attempt
             # index (cleared probabilistic faults stay cleared); a part
-            # that still dies at the worker boundary is split, and a
-            # single trial that keeps dying is recorded as a failed
-            # outcome while every other trial's result survives.
+            # that still dies at the pool seam is split, and a single
+            # trial that keeps dying is recorded as a failed outcome
+            # while every other trial's result survives.
             attempt_floor = attempts[index]
             if chaos is not None:
                 attempt_floor = max(attempt_floor, chaos.attempts)
@@ -883,33 +729,17 @@ class ParallelExecutor(TrialExecutor):
 
             def attempt_part(part: Sequence[int]):
                 if pool is None:
-                    # Degraded mid-bisection: in-process, no chaos —
-                    # the parent is not a worker.
-                    return _run_chunk(task, config, tuple(part), isolate, trace)
+                    return in_process(part)
                 future = None
                 try:
-                    future = pool.submit(
-                        _run_chunk,
-                        shipped,
-                        config,
-                        tuple(part),
-                        isolate,
-                        trace,
-                        chaos,
-                        attempt_floor,
-                    )
+                    future = dispatch(part, attempt_floor)
                     return future.result(timeout=retry.chunk_timeout)
-                except FuturesTimeoutError:
-                    future.cancel()
-                    state["error"] = "TimeoutError: chunk attempt exceeded deadline"
-                    respawn("timeout")
-                    return None
-                except BrokenExecutor as exc:
-                    state["error"] = f"{type(exc).__name__}: worker died"
-                    respawn("broken-pool")
-                    return None
                 except Exception as exc:
-                    state["error"] = f"{type(exc).__name__}: {exc}"
+                    if future is not None:
+                        future.cancel()
+                    reason, state["error"] = _classify(exc)
+                    if reason != "worker-error":
+                        respawn(reason)
                     return None
 
             def run_part(part: Sequence[int]) -> None:
@@ -937,90 +767,67 @@ class ParallelExecutor(TrialExecutor):
                     return
                 batch, chunk_trace, part_interrupt = pair
                 outcomes.extend(batch)
-                if chunk_trace is not None and recorder is not None:
-                    recorder.merge_chunk(chunk_trace)
-                    if metrics is not None:
-                        for _trial, dur_ns in chunk_trace.trial_ns:
-                            metrics.observe("trial_seconds", dur_ns / 1e9)
+                merge_trace(chunk_trace)
                 if part_interrupt is not None:
                     state["interrupt"] = part_interrupt
 
             run_part(tuple(chunk))
             return outcomes, None, state["interrupt"]
 
-        if chunks:
-            try:
-                pool = _pool_for(self.workers, prime)
-                for index in range(len(chunks)):
-                    futures[index] = submit(index)
-            except Exception:
-                # The pool could not even accept work: bottom rung,
-                # the whole sweep runs in-process.
-                _discard_pool(self.workers)
-                pool = None
-                degraded_reason = "submit-failed"
-                futures = [None] * len(chunks)
-        if probe_pair is not None:
-            # The probe is trial 0 of the sweep: yield it first, while
-            # the pool is already chewing on the dispatched chunks.
-            batch, interrupt = merge(probe_pair)
-            yield batch
-            if interrupt is not None:
-                raise interrupt
-        if not chunks:
-            return
-        if pool is not None:
-            if log is not None:
-                for index, chunk in enumerate(chunks):
-                    log.emit(
-                        ChunkDispatched(
-                            chunk=index, first_trial=chunk[0], trials=len(chunk)
-                        )
-                    )
-            if metrics is not None:
-                metrics.inc("chunks_dispatched", len(chunks))
         try:
+            if chunks:
+                try:
+                    pool = self._open_pool()
+                    for index, chunk in enumerate(chunks):
+                        futures[index] = dispatch(chunk, 0)
+                except Exception:
+                    # The pool could not even accept work: bottom rung,
+                    # the whole sweep runs in-process.
+                    degrade("submit-failed")
+                    futures = [None] * len(chunks)
+            if probe_pair is not None:
+                # The probe is trial 0 of the sweep: yield it first,
+                # while the pool is already chewing on the chunks.
+                batch, interrupt = merge(probe_pair)
+                yield batch
+                if interrupt is not None:
+                    raise interrupt
+            if not chunks:
+                return
+            if pool is not None:
+                if log is not None:
+                    for index, chunk in enumerate(chunks):
+                        log.emit(
+                            ChunkDispatched(
+                                chunk=index, first_trial=chunk[0], trials=len(chunk)
+                            )
+                        )
+                if metrics is not None:
+                    metrics.inc("chunks_dispatched", len(chunks))
             for index, chunk in enumerate(chunks):
                 pair = None
                 reason: Optional[str] = None
                 retryable = True
                 failure = "worker-boundary failure"
-                while True:
+                while pool is not None and futures[index] is not None:
                     future = futures[index]
-                    if pool is None or future is None:
-                        break
-                    infra = False
                     try:
                         pair = future.result(timeout=retry.chunk_timeout)
                         break
-                    except FuturesTimeoutError:
-                        future.cancel()
-                        reason = "timeout"
-                        infra = True
-                        failure = "TimeoutError: chunk attempt exceeded deadline"
-                    except BrokenExecutor as exc:
-                        reason = "broken-pool"
-                        infra = True
-                        failure = f"{type(exc).__name__}: worker died"
                     except Exception as exc:
-                        reason = "worker-error"
+                        future.cancel()
+                        reason, failure = _classify(exc)
                         # A task that cannot cross the process boundary
                         # (pickle raises PicklingError for lambdas but
                         # AttributeError/TypeError for local functions
                         # and unpicklable arguments) fails identically
-                        # on every attempt; no retry can fix that —
-                        # straight to the in-process fallback.
-                        if is_serialization_error(exc):
-                            retryable = False
-                        failure = f"{type(exc).__name__}: {exc}"
+                        # on every attempt; no retry can fix that.
+                        retryable = not is_serialization_error(exc)
                     futures[index] = None
-                    if infra:
+                    if reason != "worker-error" and respawn(reason):
                         # A hung or dead pool poisons every queued
-                        # chunk: respawn it and re-queue what has not
-                        # finished yet.
-                        respawn(reason)
-                        if pool is not None:
-                            resubmit_pending(index + 1)
+                        # chunk: re-queue what has not finished yet.
+                        resubmit_pending(index + 1)
                     if pool is None or not retryable:
                         break
                     attempts[index] += 1
@@ -1046,26 +853,23 @@ class ParallelExecutor(TrialExecutor):
                     if delay > 0.0:
                         time.sleep(delay)
                     try:
-                        futures[index] = submit(index)
+                        futures[index] = dispatch(chunk, attempts[index])
                     except Exception:
-                        _discard_pool(self.workers)
-                        pool = None
-                        degraded_reason = "submit-failed"
+                        degrade("submit-failed")
                         break
                 if pair is None:
                     if pool is None:
                         pair = fall_back(
                             index, chunk, degraded_reason or reason or "degraded"
                         )
-                    elif not retryable:
-                        pair = fall_back(index, chunk, reason)
-                    elif isolate:
+                    elif isolate and retryable:
                         pair = quarantine(index, chunk, failure)
                     else:
-                        # Retries exhausted without isolation: the
-                        # in-process re-run either succeeds (the fault
-                        # was infrastructure) or re-raises the task's
-                        # real error with its original type.
+                        # Retries exhausted without isolation (or a task
+                        # that cannot cross the boundary): the in-process
+                        # re-run either succeeds (the fault was
+                        # infrastructure) or re-raises the task's real
+                        # error with its original type.
                         pair = fall_back(index, chunk, reason)
                 batch, interrupt = merge(pair)
                 yield batch
@@ -1073,342 +877,79 @@ class ParallelExecutor(TrialExecutor):
                     raise interrupt
         finally:
             # Abandoned generators (time budget, interrupt) must not
-            # leave queued chunks running; the shared pool itself
-            # stays warm for the next sweep.
+            # leave queued chunks running.
             for future in futures:
                 if future is not None:
                     future.cancel()
-            # The run's segments die with the run — unlink is
-            # unconditional (a straggler chunk still mapping one only
-            # delays the page reclaim, never the name's removal).
-            if payload is not None:
-                released = len(payload.segment_names())
-                released_bytes = payload.payload_bytes
-                payload.close()
-                if metrics is not None:
-                    metrics.set_gauge("payload_segments_active", 0.0)
-                if log is not None:
-                    log.emit(
-                        SegmentsReleased(
-                            segments=released, payload_bytes=released_bytes
-                        )
-                    )
+            if pool is not None:
+                self._release_pool(pool, broken=False)
 
 
-def _thread_chunk(
-    task: TrialTask,
-    config: MonteCarloConfig,
-    trials: Sequence[int],
-    isolate: bool,
-    chaos: Optional[ChaosPolicy],
-    attempt: int,
-) -> Tuple[List[TrialOutcome], Optional[BaseException]]:
-    """One chunk on a worker thread: chaos seam, then the plain loop.
+class ThreadExecutor(_ChunkedExecutor):
+    """The chunk ladder on a thread pool, bit-identical to serial.
 
-    No trace plumbing is needed: the run's :class:`TraceRecorder` is
-    thread-safe and span stacks are thread-local, so worker threads
-    record spans (and observe metrics) directly into the parent's
-    active obs context — the payload plane is bypassed entirely
-    because there is no boundary to cross.
-    """
-    if chaos is not None:
-        chaos.perturb_chunk(trials, attempt)
-    return _chunk_loop(task, config, trials, isolate)
-
-
-class ThreadExecutor(TrialExecutor):
-    """Chunked thread-pool execution, bit-identical to serial.
-
-    The third backend: the same contiguous chunks and in-order yields
-    as :class:`ParallelExecutor`, dispatched to worker *threads*.  No
-    pickling, no shared-memory segments, no warm-pool bookkeeping —
-    the task object is shared by reference — so the backend wins
-    whenever the task spends its time inside numpy kernels that
-    release the GIL (the batch coverage kernels in
-    :mod:`repro.core.batch` do).  Tasks that close over anything,
-    picklable or not, run unmodified.
-
-    The faults ladder is mirrored minus its process rungs: chaos
-    injects at the chunk seam (:func:`_thread_chunk`), failed attempts
-    retry with the same deterministic backoff up to ``max_retries``,
-    an exhausted chunk bisects down to the offending trial under
-    ``isolate=True`` (quarantine) or re-runs in the main thread
-    without chaos otherwise, re-raising the task's real error with
-    its original type.  There is no respawn rung — threads cannot be
-    killed, so a chunk that times out is simply retried on a fresh
-    future while the hung thread's eventual result is discarded.
+    No pickling and no process boundary — the task object is shared by
+    reference, so closures run unmodified and dispatch costs
+    microseconds — and the backend wins whenever the task spends its
+    time inside numpy kernels that release the GIL (the batch coverage
+    kernels in :mod:`repro.core.batch` do).  Spans record straight into
+    the parent's thread-safe recorder.  A chunk that misses its
+    deadline is retried on a fresh future while the hung thread's
+    eventual result is discarded; a short ``hang_seconds`` keeps chaos
+    runs from leaving threads asleep.  One pool per sweep, shut down
+    when the sweep ends.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        chaos: Optional[ChaosPolicy] = None,
-    ) -> None:
-        if workers < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
-        if chunk_size is not None and chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be >= 1, got {chunk_size!r}"
-            )
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.retry = resolve_retry_policy(retry)
-        self.chaos = resolve_chaos_policy(chaos)
-
-    _adaptive_size = ParallelExecutor._adaptive_size
-    _chunks = ParallelExecutor._chunks
-
-    def run(
-        self,
-        task: TrialTask,
-        config: MonteCarloConfig,
-        trials: Sequence[int],
-        isolate: bool = False,
-    ) -> Iterator[List[TrialOutcome]]:
-        trials = list(trials)
-        if not trials:
-            return
-        log = active_event_log()
-        metrics = active_metrics()
-        progress = active_progress()
-        retry = self.retry
-        chaos = self.chaos
-        probe_pair = None
-        if self.chunk_size is None:
-            # Same adaptive sizing as the process backend: trial 0 runs
-            # inline as a timed probe (no chaos — the main thread is
-            # not a worker) and sizes the chunks for the rest.
-            probe_start = time.perf_counter()
-            probe_pair = _chunk_loop(task, config, (trials[0],), isolate)
-            probe_seconds = time.perf_counter() - probe_start
-            rest = trials[1:]
-            size = self._adaptive_size(probe_seconds, len(rest))
-            chunks = self._chunks(rest, size) if rest else []
-            if probe_pair[1] is not None:
-                chunks = []
-            if metrics is not None:
-                metrics.set_gauge("parallel_chunk_size", float(size))
-                metrics.set_gauge("parallel_probe_seconds", probe_seconds)
-        else:
-            chunks = self._chunks(trials)
-            if metrics is not None:
-                metrics.set_gauge("parallel_chunk_size", float(self.chunk_size))
-
-        def fall_back(index: int, chunk: Sequence[int], reason: str):
-            if metrics is not None:
-                metrics.inc("chunk_fallbacks")
-            if progress is not None:
-                progress.note("fallbacks")
-            if log is not None:
-                log.emit(
-                    ChunkFellBack(
-                        chunk=index,
-                        first_trial=chunk[0],
-                        trials=len(chunk),
-                        reason=reason,
-                    )
-                )
-            return _chunk_loop(task, config, tuple(chunk), isolate)
-
-        def advance(batch: List[TrialOutcome]) -> None:
-            # Parent-side, right before the batch is yielded — worker
-            # threads never touch the tracker.
-            if progress is not None:
-                progress.advance(
-                    len(batch), failed=sum(1 for o in batch if not o.ok)
-                )
-
-        futures: List[Optional[Future]] = [None] * len(chunks)
-        attempts = [0] * len(chunks)
-        pool = ThreadPoolExecutor(
+    def _open_pool(self) -> Executor:
+        return ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="fv-trial"
         )
 
-        def submit(index: int) -> Future:
-            chunk = chunks[index]
-            return pool.submit(
-                _thread_chunk,
-                task,
-                config,
-                tuple(chunk),
-                isolate,
-                chaos,
-                attempts[index],
-            )
+    def _release_pool(self, pool: Executor, broken: bool) -> None:
+        pool.shutdown(wait=False, cancel_futures=True)
 
-        def quarantine(
-            index: int, chunk: Sequence[int], failure: str
-        ) -> Tuple[List[TrialOutcome], Optional[BaseException]]:
-            # Bisect an exhausted chunk down to the offending trial(s),
-            # mirroring the process backend: parts run at the chunk's
-            # final attempt index (cleared probabilistic faults stay
-            # cleared), and a single trial that keeps dying is recorded
-            # as a failed outcome while every other result survives.
-            attempt_floor = attempts[index]
-            if chaos is not None:
-                attempt_floor = max(attempt_floor, chaos.attempts)
-            outcomes: List[TrialOutcome] = []
-            state: Dict[str, Any] = {"interrupt": None, "error": failure}
 
-            def attempt_part(part: Sequence[int]):
-                future = pool.submit(
-                    _thread_chunk,
-                    task,
-                    config,
-                    tuple(part),
-                    isolate,
-                    chaos,
-                    attempt_floor,
-                )
-                try:
-                    return future.result(timeout=retry.chunk_timeout)
-                except FuturesTimeoutError:
-                    future.cancel()
-                    state["error"] = "TimeoutError: chunk attempt exceeded deadline"
-                    return None
-                except Exception as exc:
-                    state["error"] = f"{type(exc).__name__}: {exc}"
-                    return None
+class ParallelExecutor(_ChunkedExecutor):
+    """The chunk ladder on a process pool, bit-identical to serial.
 
-            def run_part(part: Sequence[int]) -> None:
-                if state["interrupt"] is not None:
-                    return
-                pair = attempt_part(part)
-                if pair is None:
-                    if len(part) == 1:
-                        trial = int(part[0])
-                        if metrics is not None:
-                            metrics.inc("trials_quarantined")
-                        if progress is not None:
-                            progress.note("quarantined")
-                        if log is not None:
-                            log.emit(
-                                TrialQuarantined(trial=trial, error=state["error"])
-                            )
-                        outcomes.append(
-                            TrialOutcome(trial=trial, error=state["error"])
-                        )
-                        return
-                    mid = len(part) // 2
-                    run_part(part[:mid])
-                    run_part(part[mid:])
-                    return
-                batch, part_interrupt = pair
-                outcomes.extend(batch)
-                if part_interrupt is not None:
-                    state["interrupt"] = part_interrupt
+    Tasks and configs must pickle (the estimator tasks are frozen
+    dataclasses for exactly this reason); each chunk ships the task
+    inline.  Pools are warm and shared: one pool per worker count lives
+    for the process (started via a fork-safe method, see
+    :func:`_mp_context`), so only the first parallel sweep pays worker
+    startup, and a broken or hung pool is discarded and respawned.
+    Processes win on tasks that hold the GIL in Python-level code.
+    """
 
-            run_part(tuple(chunk))
-            return outcomes, state["interrupt"]
+    _crosses_processes = True
 
-        try:
-            for index in range(len(chunks)):
-                futures[index] = submit(index)
-            if probe_pair is not None:
-                batch, interrupt = probe_pair
-                advance(batch)
-                yield batch
-                if interrupt is not None:
-                    raise interrupt
-            if not chunks:
-                return
-            if log is not None:
-                for index, chunk in enumerate(chunks):
-                    log.emit(
-                        ChunkDispatched(
-                            chunk=index, first_trial=chunk[0], trials=len(chunk)
-                        )
-                    )
-            if metrics is not None:
-                metrics.inc("chunks_dispatched", len(chunks))
-            for index, chunk in enumerate(chunks):
-                pair = None
-                reason: Optional[str] = None
-                failure = "worker-boundary failure"
-                while True:
-                    future = futures[index]
-                    try:
-                        pair = future.result(timeout=retry.chunk_timeout)
-                        break
-                    except FuturesTimeoutError:
-                        # The thread cannot be killed; discard its
-                        # future (a late result is simply dropped) and
-                        # retry on a fresh one.
-                        future.cancel()
-                        reason = "timeout"
-                        failure = "TimeoutError: chunk attempt exceeded deadline"
-                    except Exception as exc:
-                        reason = "worker-error"
-                        failure = f"{type(exc).__name__}: {exc}"
-                    futures[index] = None
-                    attempts[index] += 1
-                    if attempts[index] > retry.max_retries:
-                        break
-                    if metrics is not None:
-                        metrics.inc("chunk_retries")
-                    if progress is not None:
-                        progress.note("retries")
-                    if log is not None:
-                        log.emit(
-                            ChunkRetried(
-                                chunk=index,
-                                first_trial=chunk[0],
-                                trials=len(chunk),
-                                attempt=attempts[index],
-                                reason=reason,
-                            )
-                        )
-                    delay = retry.backoff_seconds(
-                        config.seed, int(chunk[0]), attempts[index]
-                    )
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    futures[index] = submit(index)
-                if pair is None:
-                    if isolate:
-                        pair = quarantine(index, chunk, failure)
-                    else:
-                        # Retries exhausted without isolation: re-run
-                        # in the main thread without chaos — the real
-                        # error (if any) re-raises with its original
-                        # type.
-                        pair = fall_back(index, chunk, reason or "exhausted")
-                batch, interrupt = pair
-                advance(batch)
-                yield batch
-                if interrupt is not None:
-                    raise interrupt
-        finally:
-            for future in futures:
-                if future is not None:
-                    future.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
+    def _open_pool(self) -> Executor:
+        return _pool_for(self.workers)
+
+    def _release_pool(self, pool: Executor, broken: bool) -> None:
+        # The warm pool outlives the sweep unless it broke or hung.
+        if broken:
+            _discard_pool(self.workers)
 
 
 def executor_for(
     config: MonteCarloConfig, task: Optional[TrialTask] = None
 ) -> TrialExecutor:
-    """The executor a config asks for.
+    """The executor a config and task ask for.
 
-    One worker always means :class:`SerialExecutor`.  With more, the
-    resolved backend kind decides (see
-    :meth:`MonteCarloConfig.resolved_executor`); ``auto`` picks
-    :class:`ThreadExecutor` when the task advertises ``releases_gil``
-    — the estimator tasks do, their inner loops being numpy kernels
-    that drop the GIL — and :class:`ParallelExecutor` otherwise (an
-    unknown task is assumed to hold the GIL, where processes are the
-    safe bet).
+    One worker always means :class:`SerialExecutor`.  With more,
+    :class:`ThreadExecutor` runs a task that advertises
+    ``releases_gil`` — the estimator and lifetime tasks do, their inner
+    loops being numpy kernels that drop the GIL — and
+    :class:`ParallelExecutor` runs any other (an unknown task is
+    assumed to hold the GIL, where processes are the safe bet).
     """
     workers = config.resolved_workers()
-    kind = config.resolved_executor()
-    if kind == "auto":
-        kind = "thread" if getattr(task, "releases_gil", False) else "process"
-    if workers <= 1 or kind == "serial":
+    if workers <= 1:
         kind = "serial"
         executor: TrialExecutor = SerialExecutor()
-    elif kind == "thread":
+    elif getattr(task, "releases_gil", False):
+        kind = "thread"
         executor = ThreadExecutor(workers)
     else:
         kind = "process"
@@ -1431,12 +972,11 @@ def execute_trials(
 
     The one-line entry point the estimators use: results are identical
     for every executor, so callers choose purely on wall-clock grounds
-    (``executor=None`` respects ``config.workers`` and
-    ``config.executor``, with ``auto`` picking threads for tasks that
-    release the GIL).  With an active obs context the sweep is
-    bracketed by ``RunStarted``/``RunFinished`` events and tallies the
-    ``trials_completed``/``trials_failed`` counters; instrumentation
-    is inert (two ``None`` checks) otherwise.
+    (``executor=None`` means :func:`executor_for` picks from
+    ``config.workers`` and the task).  With an active obs context the
+    sweep is bracketed by ``RunStarted``/``RunFinished`` events and
+    tallies the ``trials_completed``/``trials_failed`` counters;
+    instrumentation is inert (two ``None`` checks) otherwise.
     """
     executor = executor if executor is not None else executor_for(config, task)
     log = active_event_log()

@@ -143,9 +143,9 @@ class EstimatorTask:
     ``releases_gil`` advertises that the tasks spend their time inside
     numpy's batch kernels, which drop the GIL — the signal
     :func:`~repro.simulation.engine.executor_for` uses to pick the
-    thread backend under ``executor="auto"``.  A class-level marker,
-    not a field: it describes the task *code*, travels with the class,
-    and keeps the engine free of any import of this module.
+    thread backend.  A class-level marker, not a field: it describes
+    the task *code*, travels with the class, and keeps the engine free
+    of any import of this module.
     """
 
     #: Estimator trials are numpy-kernel bound; ``auto`` may use threads.

@@ -26,7 +26,7 @@ It must derive all randomness from ``rng`` for determinism to hold.
 
 Execution is delegated to the shared engine
 (:mod:`repro.simulation.engine`): the config's ``workers`` setting
-selects serial or process-parallel execution, and because executors
+selects serial or parallel execution, and because executors
 yield outcomes in trial order the checkpoint always holds a contiguous
 prefix of the sweep — checkpoint/resume and parallelism compose, with
 bit-identical results either way.  Under the parallel executor the time

@@ -257,47 +257,6 @@ class TestWorkerStateEdges:
         assert lint_source(src, select=["FV007"]) == []
 
 
-class TestAuditedWorkerGlobals:
-    """The explicit FV007 allowlist for audited worker-side caches."""
-
-    SRC = Path(__file__).resolve().parents[2] / "src"
-
-    def test_payload_module_caches_are_allowlisted(self):
-        # The payload plane's worker-side caches are seam-reachable via
-        # resolve_task, but covered by the explicit allowlist entry.
-        result = lint_paths(
-            [self.SRC / "repro" / "simulation"], select=["FV007"]
-        )
-        assert result.ok, "\n".join(f.render() for f in result.findings)
-
-    def test_allowlist_names_match_real_globals(self):
-        # Guard against drift: every allowlisted name must still exist
-        # as a module-level global of the module it is declared for.
-        import importlib
-
-        from repro.lint.rules.parallel import AUDITED_WORKER_GLOBALS
-
-        assert AUDITED_WORKER_GLOBALS, "allowlist unexpectedly empty"
-        for module_name, names in AUDITED_WORKER_GLOBALS.items():
-            mod = importlib.import_module(module_name)
-            for name in sorted(names):
-                assert hasattr(mod, name), f"{module_name}.{name} vanished"
-
-    def test_allowlist_is_module_scoped_not_name_based(self):
-        # The same global names in a *different* module still flag:
-        # the allowlist keys on (module, name), never the name alone.
-        src = (
-            "_TASK_CACHE: dict = {}\n"
-            "class CachingTask:\n"
-            "    def __call__(self, rng):\n"
-            "        _TASK_CACHE['k'] = 1\n"
-            "        return 0.0\n"
-        )
-        findings = lint_source(src, select=["FV007"])
-        assert len(findings) == 1
-        assert "_TASK_CACHE" in findings[0].message
-
-
 class TestNondeterminismEdges:
     def test_fv001_legacy_set_not_double_flagged(self):
         # np.random.randint is FV001's jurisdiction, not FV008's.

@@ -23,7 +23,6 @@ class TestServeParser:
         assert args.queue_limit == 8
         assert args.service_workers == 2
         assert args.workers is None
-        assert args.executor is None
         assert args.ledger is None
 
     def test_all_flags(self, tmp_path):
@@ -36,14 +35,13 @@ class TestServeParser:
                 "--queue-limit", "3",
                 "--service-workers", "4",
                 "--workers", "2",
-                "--executor", "thread",
                 "--ledger", str(tmp_path / "runs.jsonl"),
                 "--metrics", str(tmp_path / "metrics.json"),
             ]
         )
         assert args.port == 0
         assert args.queue_limit == 3
-        assert args.executor == "thread"
+        assert args.workers == 2
         assert args.ledger == str(tmp_path / "runs.jsonl")
 
     def test_bare_ledger_flag_means_default_location(self):

@@ -83,7 +83,7 @@ class TestComputePath:
     def test_miss_then_warm_hit_computes_once(self, monkeypatch):
         calls = []
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             calls.append(request)
             return {"answer": 42}
 
@@ -111,7 +111,7 @@ class TestComputePath:
         calls = []
         gate = threading.Event()
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             calls.append(request)
             assert gate.wait(timeout=10)
             return {"answer": 42}
@@ -148,7 +148,7 @@ class TestComputePath:
     def test_backpressure_refuses_with_503(self, monkeypatch):
         gate = threading.Event()
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             assert gate.wait(timeout=10)
             return {"answer": 42}
 
@@ -175,7 +175,7 @@ class TestComputePath:
     def test_job_errors_reach_leader_and_followers(self, monkeypatch):
         gate = threading.Event()
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             assert gate.wait(timeout=10)
             raise InvalidParameterError("radius out of domain")
 
@@ -201,7 +201,7 @@ class TestComputePath:
     def test_failed_compute_is_not_cached(self, monkeypatch):
         calls = []
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             calls.append(request)
             if len(calls) == 1:
                 raise InvalidParameterError("transient misconfiguration")
@@ -225,7 +225,7 @@ class TestComputePath:
     def test_graceful_stop_drains_in_flight_compute(self, monkeypatch):
         gate = threading.Event()
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             assert gate.wait(timeout=10)
             return {"answer": 42}
 
@@ -254,7 +254,7 @@ class TestLedgerPolicy:
         """ok rows per compute, one cached row per disk hit, none for memory."""
         calls = []
 
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             calls.append(request)
             return {"answer": 42}
 
@@ -293,8 +293,28 @@ class TestLedgerPolicy:
         assert cached_row["trials_per_sec"] == pytest.approx(0.0)
         assert cached_row["config_digest"] == ok_row["config_digest"]
 
+    def test_rows_record_resolved_workers(self, tmp_path, monkeypatch):
+        """A server left to FULLVIEW_WORKERS logs the count it resolves."""
+
+        def fake_run(request, *, workers=None):
+            return {"answer": 42}
+
+        monkeypatch.setattr("repro.service.server.run_request", fake_run)
+        monkeypatch.setenv("FULLVIEW_WORKERS", "2")
+        ledger = tmp_path / "runs.jsonl"
+
+        async def main():
+            service = await started(ledger_path=ledger)
+            await post(service.port, "estimate", body())
+            await service.stop()
+
+        run(main())
+        rows, problems = load_runs(ledger)
+        assert problems == []
+        assert [(row["workers"], row["executor"]) for row in rows] == [(2, "auto")]
+
     def test_error_outcome_row(self, tmp_path, monkeypatch):
-        def fake_run(request, *, workers=None, executor=None):
+        def fake_run(request, *, workers=None):
             raise InvalidParameterError("broken")
 
         monkeypatch.setattr("repro.service.server.run_request", fake_run)

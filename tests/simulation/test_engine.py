@@ -19,23 +19,25 @@ from hypothesis import given, settings, strategies as st
 
 from repro.deployment.uniform import UniformDeployment
 from repro.errors import InvalidParameterError
+from repro.geometry.grid import DenseGrid
+from repro.resilience.failures import FailureSchedule
+from repro.resilience.lifetime import LifetimeTask, LifetimeValueTask
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
 from repro.simulation.engine import (
-    EXECUTOR_ENV_VAR,
     WORKERS_ENV_VAR,
     MonteCarloConfig,
     ParallelExecutor,
     SerialExecutor,
     ThreadExecutor,
     TrialOutcome,
-    active_executor_kind,
     execute_trials,
     executor_for,
-    executor_scope,
     run_trial,
 )
 from repro.simulation.montecarlo import (
     AreaFractionTask,
+    ConditionChainTask,
+    GridFailureTask,
     PointProbabilityTask,
     estimate_area_fraction,
     estimate_condition_chain,
@@ -125,7 +127,6 @@ class TestMonteCarloConfig:
 
     def test_executor_for_respects_workers(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         assert isinstance(executor_for(MonteCarloConfig(trials=1)), SerialExecutor)
         assert isinstance(
             executor_for(MonteCarloConfig(trials=1, workers=2)), ParallelExecutor
@@ -133,74 +134,46 @@ class TestMonteCarloConfig:
 
 
 class TestExecutorSelection:
-    """Backend resolution: config field > scope > environment > auto."""
+    """One worker is serial; otherwise ``releases_gil`` picks threads."""
+
+    POINT_TASK = PointProbabilityTask(
+        profile=PROFILE,
+        n=10,
+        theta=THETA,
+        condition="necessary",
+        scheme=UniformDeployment(),
+        point=(0.5, 0.5),
+    )
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-
-    def test_config_field_validated(self):
-        with pytest.raises(InvalidParameterError):
-            MonteCarloConfig(trials=1, executor="fibers")
-        assert MonteCarloConfig(trials=1, executor="THREAD").executor == "thread"
-
-    def test_env_value_validated(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "quantum")
-        with pytest.raises(InvalidParameterError):
-            MonteCarloConfig(trials=1).resolved_executor()
 
     def test_default_is_auto(self):
-        assert MonteCarloConfig(trials=1).resolved_executor() == "auto"
-
-    def test_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
-        cfg = MonteCarloConfig(trials=1, workers=2)
-        assert cfg.resolved_executor() == "thread"
-        assert isinstance(executor_for(cfg), ThreadExecutor)
-
-    def test_scope_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
-        with executor_scope("process"):
-            assert active_executor_kind() == "process"
-            cfg = MonteCarloConfig(trials=1, workers=2)
-            assert cfg.resolved_executor() == "process"
-            assert isinstance(executor_for(cfg), ParallelExecutor)
-        assert active_executor_kind() is None
-
-    def test_config_field_overrides_scope(self):
-        with executor_scope("process"):
-            cfg = MonteCarloConfig(trials=1, workers=2, executor="thread")
-            assert cfg.resolved_executor() == "thread"
-
-    def test_none_scope_is_transparent(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
-        with executor_scope(None):
-            assert MonteCarloConfig(trials=1).resolved_executor() == "thread"
-
-    def test_scope_validates_kind(self):
-        with pytest.raises(InvalidParameterError):
-            executor_scope("coroutines")
+        # "auto" is the only parallel kind; one worker resolves serial.
+        assert MonteCarloConfig(trials=1, workers=2).resolved_executor() == "auto"
+        assert MonteCarloConfig(trials=1).resolved_executor() == "serial"
 
     def test_single_worker_always_serial(self):
-        cfg = MonteCarloConfig(trials=1, executor="process")
-        assert isinstance(executor_for(cfg), SerialExecutor)
-        cfg = MonteCarloConfig(trials=1, executor="thread")
-        assert isinstance(executor_for(cfg), SerialExecutor)
+        cfg = MonteCarloConfig(trials=1)
+        assert isinstance(executor_for(cfg, draw_trial), SerialExecutor)
+        assert isinstance(executor_for(cfg, self.POINT_TASK), SerialExecutor)
 
     def test_auto_picks_threads_for_gil_releasing_tasks(self):
-        # Estimator tasks advertise releases_gil (numpy kernels); plain
-        # callables do not, so processes stay the safe default.
-        task = PointProbabilityTask(
+        # Estimator and lifetime tasks advertise releases_gil (numpy
+        # kernels); plain callables do not, so processes stay the safe
+        # default.
+        lifetime = LifetimeTask(
             profile=PROFILE,
             n=10,
             theta=THETA,
-            condition="necessary",
+            schedule=FailureSchedule([]),
+            epochs=2,
             scheme=UniformDeployment(),
-            point=(0.5, 0.5),
         )
         cfg = MonteCarloConfig(trials=1, workers=2)
-        assert isinstance(executor_for(cfg, task), ThreadExecutor)
+        for task in (self.POINT_TASK, lifetime, LifetimeValueTask(task=lifetime)):
+            assert isinstance(executor_for(cfg, task), ThreadExecutor)
         assert isinstance(executor_for(cfg, draw_trial), ParallelExecutor)
 
     def test_selection_metrics_recorded(self):
@@ -208,7 +181,7 @@ class TestExecutorSelection:
 
         registry = MetricsRegistry()
         with metrics_scope(registry):
-            executor_for(MonteCarloConfig(trials=1, workers=2, executor="thread"))
+            executor_for(MonteCarloConfig(trials=1, workers=2), self.POINT_TASK)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["executor_selected_thread"] == 1
         assert snapshot["gauges"]["executor_workers"] == 2.0
@@ -473,56 +446,62 @@ class TestEstimatorBitIdentity:
 
 
 class TestThreeExecutorIdentity:
-    """serial == process == thread, bit for bit, on every estimator.
+    """serial == thread == process, bit for bit, on every estimator task.
 
-    The ``executor`` config field drives selection here, exactly as the
-    CLI and the env override do; one extra case pins the
-    ``FULLVIEW_EXECUTOR`` path itself.
+    Each task runs through explicit executor instances, so both
+    parallel backends are covered whichever one ``executor_for`` would
+    pick for it.
     """
 
-    def _cfg(self, executor, workers=2, seed=11, trials=10):
-        return MonteCarloConfig(
-            trials=trials, seed=seed, workers=workers, executor=executor
-        )
+    CFG = MonteCarloConfig(trials=10, seed=11)
 
-    def _estimate(self, estimator, profile, cfg):
+    def _task(self, estimator):
+        scheme = UniformDeployment()
+        common = dict(profile=PROFILE, theta=THETA, scheme=scheme)
         if estimator == "point":
-            return estimate_point_probability(profile, 60, THETA, "necessary", cfg)
+            return PointProbabilityTask(
+                n=60, condition="necessary", point=(0.5, 0.5), **common
+            )
         if estimator == "grid":
-            return estimate_grid_failure_probability(
-                profile, 40, THETA, "exact", cfg, max_grid_points=25
+            return GridFailureTask(
+                n=40,
+                condition="exact",
+                grid=DenseGrid.for_sensor_count(40, scheme.region),
+                max_grid_points=25,
+                **common,
             )
         if estimator == "area":
-            return estimate_area_fraction(
-                profile, 40, THETA, "k_coverage", cfg, sample_points=32, k=2
+            return AreaFractionTask(
+                n=40, condition="k_coverage", sample_points=32, k=2, **common
             )
-        return estimate_condition_chain(profile, 60, THETA, cfg)
+        return ConditionChainTask(n=60, point=(0.5, 0.5), **common)
 
     @pytest.mark.parametrize("estimator", ["point", "grid", "area", "chain"])
-    def test_all_backends_agree(self, profile, estimator):
-        serial = self._estimate(estimator, profile, self._cfg("serial"))
-        threaded = self._estimate(estimator, profile, self._cfg("thread"))
-        process = self._estimate(estimator, profile, self._cfg("process"))
+    def test_all_backends_agree(self, estimator):
+        task = self._task(estimator)
+        serial = execute_trials(task, self.CFG, executor=SerialExecutor())
+        threaded = execute_trials(
+            task, self.CFG, executor=ThreadExecutor(workers=2)
+        )
+        process = execute_trials(
+            task, self.CFG, executor=ParallelExecutor(workers=2)
+        )
         assert serial == threaded
         assert serial == process
 
-    def test_env_override_path_matches(self, profile, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        serial = self._estimate("point", profile, self._cfg("serial"))
-        for kind in ("thread", "process"):
-            monkeypatch.setenv(EXECUTOR_ENV_VAR, kind)
-            assert self._estimate("point", profile, self._cfg(None)) == serial
-
-    def test_auto_uses_threads_and_matches(self, profile, monkeypatch):
+    def test_auto_uses_threads_and_matches(self, profile):
         # Estimator tasks release the GIL, so auto lands on threads —
         # and the answer is still the serial answer.
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         from repro.obs.metrics import MetricsRegistry, metrics_scope
 
-        serial = self._estimate("point", profile, self._cfg("serial"))
+        def estimate(workers):
+            cfg = MonteCarloConfig(trials=10, seed=11, workers=workers)
+            return estimate_point_probability(profile, 60, THETA, "necessary", cfg)
+
+        serial = estimate(1)
         registry = MetricsRegistry()
         with metrics_scope(registry):
-            auto = self._estimate("point", profile, self._cfg("auto"))
+            auto = estimate(2)
         assert auto == serial
         assert registry.snapshot()["counters"]["executor_selected_thread"] >= 1
 

@@ -23,6 +23,7 @@ from repro.obs.metrics import MetricsRegistry, metrics_scope
 from repro.simulation.engine import (
     MonteCarloConfig,
     ParallelExecutor,
+    ThreadExecutor,
     _pool_for,
     execute_trials,
 )
@@ -47,6 +48,12 @@ def draw_trial(trial: int, rng: np.random.Generator) -> float:
 
 #: Fast retries for tests: no backoff sleeps, bounded attempts.
 FAST_RETRY = RetryPolicy(max_retries=2, backoff_base=0.0, max_pool_respawns=2)
+
+#: Both parallel backends walk the same chunk ladder; every chaos case
+#: runs on each.
+BACKENDS = pytest.mark.parametrize(
+    "backend", [ThreadExecutor, ParallelExecutor], ids=["thread", "process"]
+)
 
 
 def _values(outcomes):
@@ -200,8 +207,9 @@ class TestChaosBitIdentity:
     def baseline(self):
         return _values(execute_trials(draw_trial, self.CONFIG))
 
-    def test_crash_profile(self, baseline):
-        executor = ParallelExecutor(
+    @BACKENDS
+    def test_crash_profile(self, baseline, backend):
+        executor = backend(
             2, chunk_size=4, retry=FAST_RETRY,
             chaos=ChaosPolicy(seed=5, crash=0.6),
         )
@@ -210,57 +218,72 @@ class TestChaosBitIdentity:
         assert "ChunkRetried" in events
         assert metrics.counter("chunk_retries") > 0
 
-    def test_pickle_profile(self, baseline):
-        executor = ParallelExecutor(
+    @BACKENDS
+    def test_pickle_profile(self, baseline, backend):
+        executor = backend(
             2, chunk_size=4, retry=FAST_RETRY,
             chaos=ChaosPolicy(seed=2, pickle_error=0.7),
         )
         outcomes = execute_trials(draw_trial, self.CONFIG, executor=executor)
         assert _values(outcomes) == baseline
 
-    def test_slow_profile(self, baseline):
-        executor = ParallelExecutor(
+    @BACKENDS
+    def test_slow_profile(self, baseline, backend):
+        executor = backend(
             2, chunk_size=6, retry=FAST_RETRY,
             chaos=ChaosPolicy(seed=1, slow=1.0, slow_seconds=0.002),
         )
         outcomes = execute_trials(draw_trial, self.CONFIG, executor=executor)
         assert _values(outcomes) == baseline
 
-    def test_hang_profile_with_deadline(self, baseline):
+    @BACKENDS
+    def test_hang_profile_with_deadline(self, baseline, backend):
         # Every chunk's first attempt hangs well past the deadline; the
-        # executor must time it out, respawn the pool and retry (the
-        # hang clears on attempt 1).  Cold worker start can eat further
-        # deadlines, so only completion + identity + the first retry
-        # are asserted — whatever rung the ladder ends on.
+        # executor must time it out and retry (the hang clears on
+        # attempt 1).  Processes kill the hung worker by respawning the
+        # pool, and cold worker start can eat further deadlines, so only
+        # completion + identity + the first retry are asserted there —
+        # whatever rung the ladder ends on.  A hung thread cannot be
+        # killed: its retry goes to a fresh future on the same pool, and
+        # a short hang keeps the abandoned thread from outliving the test
+        # by much.
         config = MonteCarloConfig(trials=6, seed=123)
         serial = _values(execute_trials(draw_trial, config))
-        executor = ParallelExecutor(
+        processes = backend is ParallelExecutor
+        executor = backend(
             2,
             chunk_size=6,
             retry=RetryPolicy(
-                max_retries=2, chunk_timeout=2.0,
+                max_retries=2, chunk_timeout=2.0 if processes else 0.3,
                 backoff_base=0.0, max_pool_respawns=2,
             ),
-            chaos=ChaosPolicy(seed=3, hang=1.0, hang_seconds=8.0),
+            chaos=ChaosPolicy(
+                seed=3, hang=1.0, hang_seconds=8.0 if processes else 1.0
+            ),
         )
         outcomes, events, metrics = _run_with_obs(executor, config)
         assert _values(outcomes) == serial
         assert "ChunkRetried" in events
-        assert "PoolRespawned" in events or "ChunkFellBack" in events
+        if processes:
+            assert "PoolRespawned" in events or "ChunkFellBack" in events
+        else:
+            assert "PoolRespawned" not in events
 
-    def test_env_activated_chaos(self, baseline, monkeypatch):
+    @BACKENDS
+    def test_env_activated_chaos(self, baseline, monkeypatch, backend):
         monkeypatch.setenv(CHAOS_ENV_VAR, "seed=6,crash=1.0")
-        executor = ParallelExecutor(2, chunk_size=4, retry=FAST_RETRY)
+        executor = backend(2, chunk_size=4, retry=FAST_RETRY)
         assert executor.chaos == ChaosPolicy(seed=6, crash=1.0)
         outcomes = execute_trials(draw_trial, self.CONFIG, executor=executor)
         assert _values(outcomes) == baseline
 
 
+@BACKENDS
 class TestQuarantine:
-    def test_poison_trial_is_quarantined(self):
+    def test_poison_trial_is_quarantined(self, backend):
         config = MonteCarloConfig(trials=12, seed=9)
         serial = execute_trials(draw_trial, config)
-        executor = ParallelExecutor(
+        executor = backend(
             2,
             chunk_size=4,
             retry=RetryPolicy(max_retries=1, backoff_base=0.0),
@@ -288,13 +311,13 @@ class TestQuarantine:
         assert [e["trial"] for e in quarantined] == [6]
         assert metrics.counter("trials_quarantined") == 1
 
-    def test_unisolated_poison_falls_back_and_completes(self):
+    def test_unisolated_poison_falls_back_and_completes(self, backend):
         # Without isolation there is no quarantine: the in-process
         # fallback re-runs the chunk chaos-free and the sweep completes
         # bit-identically (the "fault" was injected, not the task's).
         config = MonteCarloConfig(trials=8, seed=4)
         serial = _values(execute_trials(draw_trial, config))
-        executor = ParallelExecutor(
+        executor = backend(
             2,
             chunk_size=4,
             retry=RetryPolicy(max_retries=1, backoff_base=0.0),

@@ -53,13 +53,6 @@ class TestConfig:
             trials=10**9, seed=0
         ).rng_for_trial(0).random()
 
-    def test_rngs_list_shim_matches_generator_and_warns(self):
-        cfg = MonteCarloConfig(trials=4, seed=7)
-        with pytest.warns(DeprecationWarning, match="rng_for_trial"):
-            eager = [g.random() for g in cfg.rngs_list()]
-        lazy = [g.random() for g in cfg.rngs()]
-        assert eager == lazy
-
     def test_rngs_match_spawned_seed_sequences(self):
         # rng_for_trial uses explicit spawn keys; they must equal the
         # historical SeedSequence.spawn streams bit for bit.

@@ -68,7 +68,6 @@ class TestSpellings:
             "seed": 9,
             "use_index": config.use_index,
             "workers": None,
-            "executor": None,
         }
         assert config_digest(config) == config_digest(as_dict)
 

@@ -47,22 +47,13 @@ class TestRun:
     def test_run_seed_flag(self, capsys):
         assert main(["run", "EQ19", "--seed", "3"]) == 0
 
-    def test_run_executor_flag(self, capsys):
-        # --executor scopes the backend for the whole command; the
-        # results must be what the serial run prints (bit-identity).
-        assert main(["run", "EQ19", "--executor", "thread", "--workers", "2"]) == 0
-        assert "overall: PASS" in capsys.readouterr().out
-
-    def test_run_executor_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["run", "EQ19", "--executor", "fibers"])
-
-    def test_executor_flag_on_lifetime_and_workloads_parsers(self):
-        parser = build_parser()
-        args = parser.parse_args(["lifetime", "--executor", "process"])
-        assert args.executor == "process"
-        args = parser.parse_args(["workloads", "--executor", "serial"])
-        assert args.executor == "serial"
+    def test_run_workers_flag(self, capsys):
+        # The backend is picked per task; the tables must be what the
+        # serial run prints (bit-identity).
+        assert main(["run", "EQ19"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["run", "EQ19", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 class TestFigures:
