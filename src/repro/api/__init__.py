@@ -6,7 +6,7 @@ need, with keyword-only arguments and defaults matching the paper:
 - :func:`deploy` — describe cameras, scatter ``n`` of them, get a
   :class:`~repro.sensors.fleet.SensorFleet`.
 - :func:`evaluate_grid` — full-view (or any named condition) verdicts
-  over a grid of points, through the dense/sparse kernel dispatch.
+  over a grid of points, through the batch kernels.
 - :func:`estimate` — the four seeded Monte-Carlo estimators behind one
   ``kind`` switch.
 - :func:`run_experiment` — any registered paper experiment by id.
@@ -172,7 +172,6 @@ def evaluate_grid(
     points: Optional[np.ndarray] = None,
     resolution: Optional[int] = None,
     k: int = 1,
-    kernel: str = "auto",
 ) -> GridEvaluation:
     """Evaluate a named coverage condition over a grid of points.
 
@@ -181,9 +180,8 @@ def evaluate_grid(
     resolution`` cell-centre grid), or — by default — the paper's dense
     grid for the fleet's sensor count.  ``condition`` is ``"exact"``
     (full-view), ``"necessary"``, ``"sufficient"`` or ``"k_coverage"``
-    (with ``k``); ``kernel`` selects the dense or sparse evaluation
-    path (``"auto"`` picks by candidate density — both paths are
-    bit-identical).
+    (with ``k``).  The batch kernels pick the dense or sparse
+    evaluation path by candidate density; both are bit-identical.
     """
     theta = validate_effective_angle(theta)
     supplied = [points is not None, grid is not None, resolution is not None]
@@ -199,7 +197,7 @@ def evaluate_grid(
                 grid = DenseGrid.for_sensor_count(max(1, len(fleet)), fleet.region)
         points = grid.points
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    mask = condition_mask(fleet, points, theta, condition, k=k, kernel=kernel)
+    mask = condition_mask(fleet, points, theta, condition, k=k)
     return GridEvaluation(points=points, mask=mask, theta=theta, condition=condition)
 
 
@@ -221,7 +219,6 @@ def estimate(
     sample_points: int = 256,
     grid: Optional[DenseGrid] = None,
     max_grid_points: Optional[int] = None,
-    kernel: str = "auto",
 ) -> Any:
     """Run one of the seeded Monte-Carlo estimators.
 
@@ -237,28 +234,27 @@ def estimate(
       ``sample_points``).
     - ``"condition_chain"`` — necessary/exact/sufficient on the same
       deployments; returns a dict of estimates (``condition`` is
-      ignored; evaluation is scalar, so ``kernel`` is too).
+      ignored).
 
     All kinds share ``trials``/``seed`` (reproducible, bit-identical
-    serial vs parallel), ``workers`` and the ``kernel`` dispatch policy.
+    serial vs parallel) and ``workers``.
     """
     resolved = _as_profile(profile, radius, angle_of_view)
     config = MonteCarloConfig(trials=trials, seed=seed, workers=workers)
     if kind == "point":
         return estimate_point_probability(
             resolved, n, theta, condition, config,
-            scheme=scheme, point=point, k=k, kernel=kernel,
+            scheme=scheme, point=point, k=k,
         )
     if kind == "grid_failure":
         return estimate_grid_failure_probability(
             resolved, n, theta, condition, config,
             scheme=scheme, grid=grid, max_grid_points=max_grid_points,
-            kernel=kernel,
         )
     if kind == "area_fraction":
         return estimate_area_fraction(
             resolved, n, theta, condition, config,
-            scheme=scheme, sample_points=sample_points, k=k, kernel=kernel,
+            scheme=scheme, sample_points=sample_points, k=k,
         )
     if kind == "condition_chain":
         return estimate_condition_chain(

@@ -56,9 +56,6 @@ _ESTIMATE_KINDS = ("point", "grid_failure", "area_fraction", "condition_chain")
 #: Coverage conditions the evaluate/estimate endpoints accept.
 _CONDITIONS = ("exact", "necessary", "sufficient", "k_coverage")
 
-#: Kernel dispatch policies (mirrors core.kernels).
-_KERNELS = ("auto", "dense", "sparse")
-
 
 def _wire(kind: str, **kwargs: Any) -> Any:
     """A dataclass field carrying its wire-type tag in metadata."""
@@ -190,7 +187,6 @@ class EvaluateRequest(WireBody):
     condition: str = _wire("str", default="exact")
     resolution: Optional[int] = _wire("int?", default=None)
     k: int = _wire("int", default=1)
-    kernel: str = _wire("str", default="auto")
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -203,10 +199,6 @@ class EvaluateRequest(WireBody):
         if self.resolution is not None and self.resolution < 1:
             raise SchemaError(
                 f"evaluate.resolution must be >= 1, got {self.resolution!r}"
-            )
-        if self.kernel not in _KERNELS:
-            raise SchemaError(
-                f"evaluate.kernel must be one of {_KERNELS}, got {self.kernel!r}"
             )
 
 
@@ -228,7 +220,6 @@ class EstimateRequest(WireBody):
     k: int = _wire("int", default=1)
     sample_points: int = _wire("int", default=256)
     max_grid_points: Optional[int] = _wire("int?", default=None)
-    kernel: str = _wire("str", default="auto")
 
     def __post_init__(self) -> None:
         if self.kind not in _ESTIMATE_KINDS:
@@ -247,10 +238,6 @@ class EstimateRequest(WireBody):
         if self.sample_points < 1:
             raise SchemaError(
                 f"estimate.sample_points must be >= 1, got {self.sample_points!r}"
-            )
-        if self.kernel not in _KERNELS:
-            raise SchemaError(
-                f"estimate.kernel must be one of {_KERNELS}, got {self.kernel!r}"
             )
 
 

@@ -242,13 +242,13 @@ def _sparse_valid_padded(sp: SparseCovering) -> Tuple[np.ndarray, np.ndarray]:
     valid = sp.covers & ~np.isnan(sp.directions)
     rows = sp.rows()[valid]
     dirs = sp.directions[valid]
-    # bincount/lexsort are the sparse path's core; the array-API backend swap
-    # will route them through a per-backend shim (ROADMAP item 4).
-    counts = np.bincount(rows, minlength=m)  # fvlint: disable=FV009 (shim, see above)
+    # bincount/lexsort are the sparse path's core and have no array-API
+    # standard form: a port to another array library must supply them.
+    counts = np.bincount(rows, minlength=m)  # fvlint: disable=FV009 (see above)
     width = int(counts.max()) if m > 0 else 0
     padded = np.full((m, width), np.inf)
     if dirs.size:
-        order = np.lexsort((dirs, rows))  # fvlint: disable=FV009 (shim, see above)
+        order = np.lexsort((dirs, rows))  # fvlint: disable=FV009 (see above)
         rows_sorted = rows[order]
         starts = np.zeros(m, dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
@@ -265,7 +265,7 @@ def coverage_counts(
     resolved = _resolve_and_count(fleet, points.shape[0], kernel)
     if resolved == "sparse":
         sp = sparse_covering_pairs(fleet, points)
-        return np.bincount(  # fvlint: disable=FV009 (backend shim, ROADMAP item 4)
+        return np.bincount(  # fvlint: disable=FV009 (no array-API bincount)
             sp.rows()[sp.covers], minlength=sp.num_points
         )
     covers, _ = covering_and_directions(fleet, points)
@@ -396,7 +396,7 @@ def condition_mask(
         if resolved == "sparse":
             sp = sparse_covering_pairs(fleet, points)
             return (
-                np.bincount(  # fvlint: disable=FV009 (backend shim, ROADMAP item 4)
+                np.bincount(  # fvlint: disable=FV009 (no array-API bincount)
                     sp.rows()[sp.covers], minlength=sp.num_points
                 )
                 >= k
@@ -412,7 +412,7 @@ def condition_mask(
         for sector in partition.sectors:
             rel = np.mod(sp.directions - sector.start, TWO_PI)
             in_sector = valid & (rel <= sector.extent + 1e-12)
-            result &= (  # fvlint: disable=FV009 (backend shim, ROADMAP item 4)
+            result &= (  # fvlint: disable=FV009 (no array-API bincount)
                 np.bincount(rows[in_sector], minlength=m) > 0
             )
         return result

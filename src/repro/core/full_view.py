@@ -167,7 +167,6 @@ def full_view_coverage_fraction(
     fleet: SensorFleet,
     points: np.ndarray,
     theta: float,
-    use_index: bool = True,
 ) -> float:
     """Fraction of ``points`` that are full-view covered (exact test).
 
@@ -177,11 +176,8 @@ def full_view_coverage_fraction(
 
     Evaluation is vectorised through
     :func:`repro.core.batch.full_view_mask` (bit-identical to the
-    scalar gap test, property-tested) and never mutates ``fleet``; the
-    ``use_index`` flag is accepted for API compatibility but unused, as
-    the batch kernel does not consult the spatial index.
+    scalar gap test, property-tested) and never mutates ``fleet``.
     """
-    del use_index  # accepted for compatibility; batch path needs no index
     theta = validate_effective_angle(theta)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:

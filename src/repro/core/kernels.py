@@ -9,19 +9,16 @@ wins depends on candidate density: in the paper's regime
 sparse is an order of magnitude cheaper, but for small fleets or radii
 comparable to the region the dense path's simpler memory traffic wins.
 
-Every public kernel takes ``kernel="auto" | "dense" | "sparse"`` and
-routes through :func:`resolve_kernel`, so estimator tasks, the engine
-and the grid experiments all inherit the choice without per-call
-plumbing.  Resolution order: an explicit ``"dense"``/``"sparse"``
-argument wins, then the ``FULLVIEW_KERNEL`` environment variable, then
-the density heuristic.  :class:`KernelPolicy` is the picklable carrier
-task dataclasses embed so the choice survives the process-pool boundary.
+Every public kernel routes through :func:`resolve_kernel`, which picks
+the path by a density heuristic.  An explicit ``"dense"``/``"sparse"``
+(the ``kernel=`` argument of the batch kernels, or the
+:class:`KernelPolicy` estimator tasks embed) pins one path; tests and
+benchmarks use that to compare the two, since no result depends on it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from repro.errors import InvalidParameterError
@@ -29,17 +26,12 @@ from repro.sensors.fleet import SensorFleet
 
 __all__ = [
     "KERNEL_CHOICES",
-    "KERNEL_ENV_VAR",
     "KernelPolicy",
     "resolve_kernel",
 ]
 
 #: The accepted values for every ``kernel=`` argument.
 KERNEL_CHOICES = ("auto", "dense", "sparse")
-
-#: Environment override consulted by ``kernel="auto"`` — lets CI force
-#: the sparse path across a whole run without touching call sites.
-KERNEL_ENV_VAR = "FULLVIEW_KERNEL"
 
 #: Below this many (point, sensor) pairs the dense path is always used:
 #: candidate pruning cannot beat one small broadcast block.
@@ -65,8 +57,9 @@ class KernelPolicy:
 
     ``kernel`` holds the requested evaluation path (``"auto"`` defers
     the choice to :func:`resolve_kernel` at evaluation time, per fleet
-    and point count).  Both paths are bit-identical, so the policy is a
-    pure performance knob — it never changes results.
+    and point count).  The estimators always leave it at ``"auto"``;
+    tests and benchmarks replace it on a task to pin one path.  Both
+    paths are bit-identical, so it never changes results.
     """
 
     kernel: str = "auto"
@@ -79,20 +72,13 @@ def resolve_kernel(fleet: SensorFleet, num_points: int, kernel: str = "auto") ->
     """Pick ``"dense"`` or ``"sparse"`` for one kernel evaluation.
 
     An explicit ``kernel="dense"``/``"sparse"`` is honoured as-is.
-    ``"auto"`` first consults the ``FULLVIEW_KERNEL`` environment
-    variable (same three values; ``"auto"`` there falls through), then
-    applies the density heuristic: sparse when the workload is large
-    enough (``points * sensors >= 16384`` pairs) and the expected
-    candidate density ``pi * r_max**2 / area`` is at most 25%.
+    ``"auto"`` applies the density heuristic: sparse when the workload
+    is large enough (``points * sensors >= 16384`` pairs) and the
+    expected candidate density ``pi * r_max**2 / area`` is at most 25%.
     """
     _validate_kernel(kernel)
     if kernel != "auto":
         return kernel
-    env = os.environ.get(KERNEL_ENV_VAR)
-    if env is not None and env != "":
-        _validate_kernel(env)
-        if env != "auto":
-            return env
     n = len(fleet)
     if n == 0 or num_points * n < _SPARSE_MIN_PAIRS:
         return "dense"

@@ -2,13 +2,13 @@
 
 - **FV009 array-API portability** — the hot numerical paths
   (``core/batch.py``, ``core/kernels.py`` and any ``*_batch``/
-  ``*_kernels`` module) are the code ROADMAP item 4 wants to run
-  unchanged on an array-API backend (CuPy, torch, jax.numpy).  Any
-  ``np.*`` call there with no array-API-standard equivalent is a future
-  port blocker and gets flagged now, while the fix is a one-line
-  substitution rather than an excavation.  Calls the standard *renames*
-  (``np.concatenate`` → ``concat``, ``np.power`` → ``pow`` ...) are
-  allowed: the swap is mechanical.
+  ``*_kernels`` module) stay within the array-API standard, so they
+  could run unchanged on an array-API library (CuPy, torch,
+  jax.numpy).  Any ``np.*`` call there with no array-API-standard
+  equivalent is a port blocker and gets flagged now, while the fix is
+  a one-line substitution rather than an excavation.  Calls the
+  standard *renames* (``np.concatenate`` → ``concat``, ``np.power`` →
+  ``pow`` ...) are allowed: a port would substitute them mechanically.
 - **FV010 layering** — locks in the PR3 cycle fix structurally: no
   load-time import cycles anywhere (function-level imports are the
   sanctioned cycle-breaking idiom and do not count), and no package may
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Function names present in the array-API standard (2023.12/2024.12),
-#: hence safe in a hot path: the backend swap keeps them verbatim.
+#: hence safe in a hot path: a port keeps them verbatim.
 _ARRAY_API_FUNCTIONS = {
     # creation
     "arange", "asarray", "empty", "empty_like", "eye", "from_dlpack",
@@ -75,8 +75,8 @@ _ARRAY_API_FUNCTIONS = {
     "uint8", "uint16", "uint32", "uint64",
 }
 
-#: numpy name -> array-API name.  A renamed call is *allowed* — the
-#: backend swap is a mechanical substitution, not a redesign.
+#: numpy name -> array-API name.  A renamed call is *allowed* — a port
+#: substitutes it mechanically, with no redesign.
 _ARRAY_API_RENAMES = {
     "absolute": "abs",
     "amax": "max",
@@ -145,7 +145,7 @@ _LAYER_RANKS: Dict[str, int] = {
 
 
 def _hot_path(path: str) -> bool:
-    """True for the modules the array-API backend swap must cover."""
+    """True for the hot-path modules FV009 keeps array-API portable."""
     stem = Path(path).stem
     return stem in ("batch", "kernels") or stem.endswith(("_batch", "_kernels"))
 
@@ -167,8 +167,8 @@ class ArrayApiPortabilityRule(Rule):
     severity = Severity.WARNING
     description = (
         "numpy calls in the hot batch/kernel paths must exist in the "
-        "array-API standard (or be a standard rename) so the planned "
-        "backend swap (ROADMAP item 4) stays a namespace substitution"
+        "array-API standard (or be a standard rename) so running them on "
+        "another array-API library stays a namespace substitution"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
@@ -189,9 +189,9 @@ class ArrayApiPortabilityRule(Rule):
                     module,
                     node,
                     f"{chain}() has no array-API-standard equivalent: an "
-                    "array-API backend (ROADMAP item 4) cannot run this hot "
-                    "path — restructure around standard functions or hoist "
-                    "the call out of the kernel",
+                    "array-API library cannot run this hot path — "
+                    "restructure around standard functions or hoist the "
+                    "call out of the kernel",
                 )
             elif len(parts) == 3:
                 _, middle, name = parts
@@ -201,8 +201,8 @@ class ArrayApiPortabilityRule(Rule):
                             module,
                             node,
                             f"{chain}() is outside the array-API linalg "
-                            "extension: the backend swap (ROADMAP item 4) "
-                            "cannot cover it",
+                            "extension: an array-API library need not "
+                            "provide it",
                         )
                 elif middle in ("fft", "random"):
                     # fft is a standard extension; random is FV001/FV008's
@@ -214,7 +214,7 @@ class ArrayApiPortabilityRule(Rule):
                         node,
                         f"ufunc method {chain}() has no array-API form: "
                         "express the reduction with standard functions so "
-                        "the backend swap (ROADMAP item 4) stays mechanical",
+                        "the hot path stays portable",
                     )
 
 

@@ -83,7 +83,6 @@ def _run_evaluate(request: EvaluateRequest) -> Dict[str, Any]:
         condition=request.condition,
         resolution=request.resolution,
         k=request.k,
-        kernel=request.kernel,
     )
     return {
         "fraction": evaluation.fraction,
@@ -111,7 +110,6 @@ def _run_estimate(
         k=request.k,
         sample_points=request.sample_points,
         max_grid_points=request.max_grid_points,
-        kernel=request.kernel,
     )
     return {
         "kind": request.kind,

@@ -146,10 +146,6 @@ class MonteCarloConfig:
         Number of independent deployments.
     seed:
         Master seed; each trial gets a spawned child generator.
-    use_index:
-        Whether fleets build a spatial index before scalar queries
-        (identical results either way; the vectorised batch kernels do
-        not consult it).
     workers:
         Workers for trial execution.  ``1`` runs serially, ``> 1``
         dispatches chunks to a thread or process pool (see
@@ -160,7 +156,6 @@ class MonteCarloConfig:
 
     trials: int = 200
     seed: int = 0
-    use_index: bool = True
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -27,24 +27,17 @@ the scalar reference path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from repro.core.batch import condition_mask
-from repro.core.conditions import (
-    necessary_condition_holds,
-    sufficient_condition_holds,
-)
 from repro.core.kernels import KernelPolicy
-from repro.core.full_view import is_full_view_covered
 from repro.deployment.base import DeploymentScheme
 from repro.deployment.uniform import UniformDeployment
 from repro.errors import InvalidParameterError
 from repro.geometry.angles import validate_effective_angle
 from repro.geometry.grid import DenseGrid
-from repro.obs.trace import span
-from repro.sensors.fleet import SensorFleet
 from repro.sensors.model import HeterogeneousProfile
 from repro.simulation.engine import MonteCarloConfig, execute_trials
 from repro.simulation.statistics import BernoulliEstimate, mean_and_half_width
@@ -52,13 +45,11 @@ from repro.simulation.statistics import BernoulliEstimate, mean_and_half_width
 __all__ = [
     "AreaFractionTask",
     "ConditionChainTask",
-    "DirectionPredicate",
     "EstimatorTask",
     "GridFailureTask",
     "MonteCarloConfig",
     "Point",
     "PointProbabilityTask",
-    "condition_predicate",
     "estimate_area_fraction",
     "estimate_condition_chain",
     "estimate_grid_failure_probability",
@@ -67,9 +58,6 @@ __all__ = [
 
 Point = Tuple[float, float]
 
-#: Predicate over the viewed directions of the covering sensors.
-DirectionPredicate = Callable[[np.ndarray], bool]
-
 #: Conditions the point-level tasks accept.
 _POINT_CONDITIONS = ("necessary", "sufficient", "exact", "k_coverage")
 
@@ -77,33 +65,13 @@ _POINT_CONDITIONS = ("necessary", "sufficient", "exact", "k_coverage")
 #: is a different quantity, served by :mod:`repro.core.kcoverage`).
 _GRID_CONDITIONS = ("necessary", "sufficient", "exact")
 
-
-def condition_predicate(condition: str, theta: float, k: int = 1) -> DirectionPredicate:
-    """Build a direction-set predicate for a named condition.
-
-    ``condition`` is one of ``"necessary"``, ``"sufficient"``,
-    ``"exact"`` (full-view, gap test) or ``"k_coverage"`` (at least
-    ``k`` covering sensors, ignoring directions).
-    """
-    theta = validate_effective_angle(theta)
-    if condition == "necessary":
-        return lambda dirs: necessary_condition_holds(dirs, theta)
-    if condition == "sufficient":
-        return lambda dirs: sufficient_condition_holds(dirs, theta)
-    if condition == "exact":
-        return lambda dirs: is_full_view_covered(dirs, theta)
-    if condition == "k_coverage":
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k!r}")
-        return lambda dirs: dirs.size >= k
-    raise InvalidParameterError(
-        "condition must be one of 'necessary', 'sufficient', 'exact', "
-        f"'k_coverage'; got {condition!r}"
-    )
+#: The chain task's verdict order (weakest to strongest), as
+#: :func:`estimate_condition_chain` unpacks it.
+_CHAIN_CONDITIONS = ("necessary", "exact", "sufficient")
 
 
 def _validate_point_condition(condition: str, theta: float, k: int) -> None:
-    """Eagerly validate point-task parameters (same errors as the predicate)."""
+    """Eagerly validate point-task parameters."""
     validate_effective_angle(theta)
     if condition not in _POINT_CONDITIONS:
         raise InvalidParameterError(
@@ -114,31 +82,18 @@ def _validate_point_condition(condition: str, theta: float, k: int) -> None:
         raise InvalidParameterError(f"k must be >= 1, got {k!r}")
 
 
-def _deploy(
-    scheme: DeploymentScheme,
-    profile: HeterogeneousProfile,
-    n: int,
-    rng: np.random.Generator,
-    use_index: bool,
-) -> SensorFleet:
-    with span("deploy"):
-        fleet = scheme.deploy(profile, n, rng)
-        if use_index and len(fleet) > 0:
-            fleet.build_index()
-    return fleet
-
-
 @dataclass(frozen=True, kw_only=True)
 class EstimatorTask:
     """Shared keyword-only signature of the four estimator trial tasks.
 
     Every estimator task deploys ``n`` sensors drawn from ``profile``
     via ``scheme`` and evaluates some condition at effective angle
-    ``theta``; ``kernel`` is the shared :class:`KernelPolicy` selecting
-    the dense or sparse batch evaluation path (a pure performance knob
-    — both paths are bit-identical, so estimates never depend on it).
-    Subclasses add their own keyword-only fields and stay frozen and
-    picklable for the process-pool executor.
+    ``theta`` through :func:`~repro.core.batch.condition_mask`.
+    ``kernel`` is left at ``"auto"`` by the estimators, so the batch
+    kernels pick the dense or sparse path themselves; tests and
+    benchmarks replace it to pin one path, which never changes a
+    verdict.  Subclasses add their own keyword-only fields and stay
+    frozen and picklable for the process-pool executor.
 
     ``releases_gil`` advertises that the tasks spend their time inside
     numpy's batch kernels, which drop the GIL — the signal
@@ -169,7 +124,7 @@ class PointProbabilityTask(EstimatorTask):
     ``condition``.  Evaluation goes through the batch kernel, which
     never consults the spatial index for a dense evaluation (the sparse
     kernel builds the fleet's index on demand); the verdict is
-    identical to the scalar predicate path.  Frozen and picklable,
+    identical to the scalar reference path.  Frozen and picklable,
     so the parallel executor can ship it to worker processes.
     """
 
@@ -285,32 +240,27 @@ class AreaFractionTask(EstimatorTask):
 class ConditionChainTask(EstimatorTask):
     """One trial of :func:`estimate_condition_chain`.
 
-    Evaluates necessary / exact / sufficient on the *same* deployment
-    and returns the three verdicts as a tuple.  Uses the scalar
-    covering-directions path (a single point, three predicates), where
-    the spatial index genuinely helps, hence the ``use_index`` knob;
-    the shared ``kernel`` policy is accepted for signature uniformity
-    but has nothing to dispatch on this scalar path.
+    Deploys one fleet and evaluates necessary / exact / sufficient at
+    the fixed ``point`` on it through the batch kernel, returning the
+    three verdicts as a tuple in that order.
     """
 
     point: Point
-    use_index: bool = True
 
     def __call__(
         self, trial: int, rng: np.random.Generator
     ) -> Tuple[bool, bool, bool]:
         """Deploy once and evaluate all three conditions at the point."""
         del trial
-        fleet = _deploy(self.scheme, self.profile, self.n, rng, self.use_index)
-        directions = (
-            fleet.covering_directions(self.point, use_index=self.use_index)
-            if len(fleet)
-            else SensorFleet.no_directions()
-        )
-        return (
-            bool(necessary_condition_holds(directions, self.theta)),
-            bool(is_full_view_covered(directions, self.theta)),
-            bool(sufficient_condition_holds(directions, self.theta)),
+        fleet = self.scheme.deploy(self.profile, self.n, rng)
+        pts = np.array([self.point], dtype=float)
+        return tuple(
+            bool(
+                condition_mask(
+                    fleet, pts, self.theta, condition, kernel=self.kernel.kernel
+                )[0]
+            )
+            for condition in _CHAIN_CONDITIONS
         )
 
 
@@ -331,7 +281,6 @@ def estimate_point_probability(
     scheme: Optional[DeploymentScheme] = None,
     point: Optional[Point] = None,
     k: int = 1,
-    kernel: str = "auto",
 ) -> BernoulliEstimate:
     """P(a fixed point meets ``condition``) over random deployments.
 
@@ -347,7 +296,6 @@ def estimate_point_probability(
         scheme=scheme,
         point=_default_point(scheme, point),
         k=k,
-        kernel=KernelPolicy(kernel=kernel),
     )
     outcomes = execute_trials(task, config)
     successes = sum(1 for outcome in outcomes if outcome.value)
@@ -363,7 +311,6 @@ def estimate_grid_failure_probability(
     scheme: Optional[DeploymentScheme] = None,
     grid: Optional[DenseGrid] = None,
     max_grid_points: Optional[int] = None,
-    kernel: str = "auto",
 ) -> BernoulliEstimate:
     """P(some grid point fails ``condition``) — the event ``not H``.
 
@@ -381,7 +328,6 @@ def estimate_grid_failure_probability(
         scheme=scheme,
         grid=grid or DenseGrid.for_sensor_count(n, scheme.region),
         max_grid_points=max_grid_points,
-        kernel=KernelPolicy(kernel=kernel),
     )
     outcomes = execute_trials(task, config)
     failures = sum(1 for outcome in outcomes if outcome.value)
@@ -397,7 +343,6 @@ def estimate_area_fraction(
     scheme: Optional[DeploymentScheme] = None,
     sample_points: int = 256,
     k: int = 1,
-    kernel: str = "auto",
 ) -> Tuple[float, float]:
     """Expected fraction of the region meeting ``condition``.
 
@@ -414,7 +359,6 @@ def estimate_area_fraction(
         scheme=scheme,
         sample_points=sample_points,
         k=k,
-        kernel=KernelPolicy(kernel=kernel),
     )
     outcomes = execute_trials(task, config)
     return mean_and_half_width([outcome.value for outcome in outcomes])
@@ -442,7 +386,6 @@ def estimate_condition_chain(
         theta=validate_effective_angle(theta),
         scheme=scheme,
         point=_default_point(scheme, point),
-        use_index=config.use_index,
     )
     outcomes = execute_trials(task, config)
     counts = {"necessary": 0, "exact": 0, "sufficient": 0}

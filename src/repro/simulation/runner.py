@@ -509,7 +509,6 @@ def make_point_probability_trial(
     scheme=None,
     point=None,
     k: int = 1,
-    use_index: bool = True,
 ) -> TrialFn:
     """The per-trial body of :func:`estimate_point_probability`.
 
@@ -517,10 +516,8 @@ def make_point_probability_trial(
     ``run_resilient_trials(make_point_probability_trial(...), config)``
     tallies the same successes as the plain estimator, trial for trial.
     Returns the estimator's own picklable task, so the resilient sweep
-    also parallelises (``use_index`` is accepted for API compatibility;
-    the batch evaluation path has no use for the spatial index).
+    also parallelises.
     """
-    del use_index  # batch evaluation never consults the spatial index
     scheme = scheme or UniformDeployment()
     region = scheme.region
     target = point if point is not None else (0.5 * region.side, 0.5 * region.side)

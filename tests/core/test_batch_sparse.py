@@ -4,6 +4,7 @@ dispatch policy can route through them."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,19 +21,16 @@ from repro.core.batch import (
     max_gaps,
     sparse_covering_pairs,
 )
-from repro.core.kernels import (
-    KERNEL_CHOICES,
-    KERNEL_ENV_VAR,
-    KernelPolicy,
-    resolve_kernel,
-)
+from repro.core.csa import csa_necessary
+from repro.core.kernels import KERNEL_CHOICES, KernelPolicy, resolve_kernel
 from repro.deployment.uniform import UniformDeployment
 from repro.errors import InvalidParameterError
+from repro.geometry.grid import DenseGrid
 from repro.obs.metrics import MetricsRegistry, metrics_scope
 from repro.sensors.fleet import SensorFleet
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
-from repro.simulation.engine import MonteCarloConfig
-from repro.simulation.montecarlo import estimate_area_fraction
+from repro.simulation.engine import MonteCarloConfig, execute_trials
+from repro.simulation.montecarlo import AreaFractionTask, GridFailureTask
 
 THETA = math.pi / 3
 
@@ -191,46 +189,67 @@ class TestBitIdentity:
         ) == coverage_fraction_fast(fleet, points, THETA, kernel="sparse")
 
 
+def pinned(task, kernel: str):
+    """``task`` with its kernel policy pinned to one path."""
+    return dataclasses.replace(task, kernel=KernelPolicy(kernel=kernel))
+
+
 class TestEstimatorLevelIdentity:
-    """kernel="sparse" flows through tasks, serial and parallel alike."""
+    """A KernelPolicy pinned on a task flows through the engine, serial
+    and parallel alike, without changing one outcome."""
 
     PROFILE = HeterogeneousProfile.homogeneous(
         CameraSpec(radius=0.25, angle_of_view=math.pi / 2)
     )
+    AREA = AreaFractionTask(
+        profile=PROFILE,
+        n=60,
+        theta=THETA,
+        scheme=UniformDeployment(),
+        condition="exact",
+        sample_points=64,
+    )
 
     def test_area_fraction_serial_dense_vs_sparse(self):
         serial = MonteCarloConfig(trials=6, seed=0)
-        dense = estimate_area_fraction(
-            self.PROFILE, 60, THETA, "exact", serial, sample_points=64,
-            kernel="dense",
-        )
-        sparse = estimate_area_fraction(
-            self.PROFILE, 60, THETA, "exact", serial, sample_points=64,
-            kernel="sparse",
-        )
+        dense = execute_trials(pinned(self.AREA, "dense"), serial)
+        sparse = execute_trials(pinned(self.AREA, "sparse"), serial)
         assert dense == sparse
 
     def test_area_fraction_sparse_serial_vs_workers(self):
-        serial = MonteCarloConfig(trials=6, seed=0)
-        parallel = MonteCarloConfig(trials=6, seed=0, workers=2)
-        a = estimate_area_fraction(
-            self.PROFILE, 60, THETA, "exact", serial, sample_points=64,
-            kernel="sparse",
+        task = pinned(self.AREA, "sparse")
+        serial = execute_trials(task, MonteCarloConfig(trials=6, seed=0))
+        parallel = execute_trials(task, MonteCarloConfig(trials=6, seed=0, workers=2))
+        assert serial == parallel
+
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.6])
+    def test_phase_grid_failure_dense_sparse_serial_workers(self, q):
+        # PHASE's fast-mode grid-failure trial at one q of its sweep:
+        # both kernels, serial and on two workers, four identical runs.
+        n, theta = 300, math.pi / 2
+        scheme = UniformDeployment()
+        task = GridFailureTask(
+            profile=HeterogeneousProfile.homogeneous(
+                CameraSpec.from_area(q * csa_necessary(n, theta), math.pi / 2)
+            ),
+            n=n,
+            theta=theta,
+            scheme=scheme,
+            condition="necessary",
+            grid=DenseGrid.for_sensor_count(n, scheme.region),
+            max_grid_points=300,
         )
-        b = estimate_area_fraction(
-            self.PROFILE, 60, THETA, "exact", parallel, sample_points=64,
-            kernel="sparse",
-        )
-        assert a == b
+        runs = [
+            execute_trials(
+                pinned(task, kernel), MonteCarloConfig(trials=10, seed=7, workers=w)
+            )
+            for kernel in ("dense", "sparse")
+            for w in (1, 2)
+        ]
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestResolveKernel:
-    @pytest.fixture(autouse=True)
-    def _clear_kernel_env(self, monkeypatch):
-        # The heuristic assertions must hold whatever the ambient
-        # environment (CI runs this suite under FULLVIEW_KERNEL=sparse).
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-
     def test_explicit_choice_wins(self):
         fleet = make_fleet(10, seed=0)
         assert resolve_kernel(fleet, 5, "dense") == "dense"
@@ -257,30 +276,6 @@ class TestResolveKernel:
         fleet = make_fleet(500, seed=0, radius=0.9, mix=False)
         assert resolve_kernel(fleet, 500, "auto") == "dense"
 
-    def test_env_override(self, monkeypatch):
-        fleet = make_fleet(10, seed=0)  # auto would say dense
-        monkeypatch.setenv(KERNEL_ENV_VAR, "sparse")
-        assert resolve_kernel(fleet, 10, "auto") == "sparse"
-        # An explicit argument still beats the environment.
-        assert resolve_kernel(fleet, 10, "dense") == "dense"
-
-    def test_env_auto_falls_through(self, monkeypatch):
-        fleet = make_fleet(10, seed=0)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "auto")
-        assert resolve_kernel(fleet, 10, "auto") == "dense"
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        fleet = make_fleet(10, seed=0)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(InvalidParameterError):
-            resolve_kernel(fleet, 10, "auto")
-
-    def test_env_override_changes_results_path_not_results(self, monkeypatch):
-        fleet = make_fleet(200, seed=5)
-        points = grid_points(7)
-        baseline = full_view_mask(fleet, points, THETA, kernel="dense")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "sparse")
-        assert np.array_equal(full_view_mask(fleet, points, THETA), baseline)
 
 
 class TestKernelPolicy:

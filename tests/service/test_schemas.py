@@ -112,8 +112,7 @@ class TestCanonical:
         implicit = EstimateRequest.from_wire(estimate_body())
         explicit = EstimateRequest.from_wire(
             estimate_body(
-                trials=200, seed=0, condition="exact", k=1,
-                sample_points=256, kernel="auto",
+                trials=200, seed=0, condition="exact", k=1, sample_points=256
             )
         )
         assert implicit.canonical() == explicit.canonical()

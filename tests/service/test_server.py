@@ -59,6 +59,8 @@ class TestRouting:
         health, schema, stats, missing, wrong_verb = run(main())
         assert health == (200, {"status": "ok", "schema": "fullview-api-v1"})
         assert schema[0] == 200 and "estimate" in schema[1]["endpoints"]
+        for endpoint in ("evaluate", "estimate"):
+            assert "kernel" not in schema[1]["endpoints"][endpoint]["fields"]
         assert stats[0] == 200 and stats[1]["pending"] == 0
         assert missing[0] == 404
         assert wrong_verb[0] == 405
@@ -70,13 +72,24 @@ class TestRouting:
             missing = await post(
                 service.port, "estimate", {"kind": "point", "radius": 0.2}
             )
+            evaluate = dict(radius=0.2, angle_of_view=1.0, n=4, theta=1.0)
+            kernels = [
+                await post(service.port, "estimate", body(kernel="dense")),
+                await post(service.port, "evaluate", dict(evaluate, kernel="sparse")),
+            ]
             await service.stop()
-            return bad_field, missing
+            return bad_field, missing, kernels
 
-        bad_field, missing = run(main())
+        bad_field, missing, kernels = run(main())
         assert bad_field[0] == 400
         assert bad_field[1]["kind"] == "SchemaError"
         assert missing[0] == 400
+        # The code picks the evaluation path: a body that still names a
+        # kernel is refused by field name like any other unknown field.
+        for status, reply in kernels:
+            assert status == 400
+            assert reply["kind"] == "SchemaError"
+            assert "kernel" in reply["error"]
 
 
 class TestComputePath:

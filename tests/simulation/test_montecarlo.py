@@ -7,14 +7,21 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.conditions import (
+    necessary_condition_holds,
+    sufficient_condition_holds,
+)
+from repro.core.full_view import is_full_view_covered
 from repro.core.uniform_theory import necessary_failure_probability
 from repro.deployment.poisson import PoissonDeployment
+from repro.deployment.uniform import UniformDeployment
 from repro.errors import InvalidParameterError
 from repro.geometry.grid import DenseGrid
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
 from repro.simulation.montecarlo import (
+    ConditionChainTask,
     MonteCarloConfig,
-    condition_predicate,
+    PointProbabilityTask,
     estimate_area_fraction,
     estimate_condition_chain,
     estimate_grid_failure_probability,
@@ -70,18 +77,37 @@ class TestConfig:
             cfg.rng_for_trial(3)
 
 
-class TestConditionPredicate:
-    def test_dispatch(self):
-        dirs = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-        assert condition_predicate("exact", math.pi / 3)(dirs)
-        assert condition_predicate("k_coverage", 1.0, k=4)(dirs)
-        assert not condition_predicate("k_coverage", 1.0, k=5)(dirs)
+class TestPointProbabilityTask:
+    def test_dispatch(self, profile):
+        # The task grades the trial's own fleet by the named condition:
+        # k-coverage flips exactly at the scalar covering count.
+        scheme = UniformDeployment()
+        point = (0.5, 0.5)
+        fleet = scheme.deploy(profile, 120, np.random.default_rng(3))
+        count = fleet.coverage_count(point, use_index=False)
+        dirs = fleet.covering_directions(point, use_index=False)
 
-    def test_validation(self):
+        def verdict(condition, k=1):
+            task = PointProbabilityTask(
+                profile=profile, n=120, theta=THETA, scheme=scheme,
+                condition=condition, point=point, k=k,
+            )
+            return task(0, np.random.default_rng(3))
+
+        assert count >= 1
+        assert verdict("k_coverage", k=count)
+        assert not verdict("k_coverage", k=count + 1)
+        assert verdict("exact") == is_full_view_covered(dirs, THETA)
+
+    def test_validation(self, profile):
+        common = dict(
+            profile=profile, n=10, theta=THETA, scheme=UniformDeployment(),
+            point=(0.5, 0.5),
+        )
         with pytest.raises(InvalidParameterError):
-            condition_predicate("bogus", 1.0)
+            PointProbabilityTask(condition="bogus", **common)
         with pytest.raises(InvalidParameterError):
-            condition_predicate("k_coverage", 1.0, k=0)
+            PointProbabilityTask(condition="k_coverage", k=0, **common)
 
 
 class TestEstimatePointProbability:
@@ -201,7 +227,62 @@ class TestEstimateAreaFraction:
         assert exact <= nec + 1e-9
 
 
+class _Planted(UniformDeployment):
+    """Uniform deployment with one sensor moved onto ``spot``."""
+
+    def __init__(self, spot):
+        super().__init__()
+        self.spot = spot
+
+    def positions(self, n, rng):
+        positions = super().positions(n, rng)
+        positions[0] = self.spot
+        return positions
+
+
+class _Empty(UniformDeployment):
+    """A deployment that realises no sensors at all."""
+
+    def positions(self, n, rng):
+        return np.empty((0, 2))
+
+
+def _scalar_chain(fleet, point, theta):
+    """Slow reference: scalar covering directions, one predicate each."""
+    directions = fleet.covering_directions(point, use_index=False)
+    return (
+        bool(necessary_condition_holds(directions, theta)),
+        bool(is_full_view_covered(directions, theta)),
+        bool(sufficient_condition_holds(directions, theta)),
+    )
+
+
 class TestConditionChain:
+    @pytest.mark.parametrize(
+        "radius, theta, scheme, point",
+        [
+            (0.25, THETA, UniformDeployment(), (0.5, 0.5)),
+            (0.25, THETA, _Empty(), (0.5, 0.5)),
+            (0.25, THETA, _Planted((0.3, 0.7)), (0.3, 0.7)),
+            (0.6, THETA, UniformDeployment(), (0.5, 0.5)),
+            (0.25, math.pi, UniformDeployment(), (0.5, 0.5)),
+            (0.25, THETA, UniformDeployment(), (0.0, 0.9995)),
+        ],
+        ids=["uniform", "empty", "coincident", "r0.6", "theta_pi", "wrap_seam"],
+    )
+    def test_matches_scalar_reference(self, radius, theta, scheme, point):
+        profile = HeterogeneousProfile.homogeneous(
+            CameraSpec(radius=radius, angle_of_view=math.pi / 2)
+        )
+        task = ConditionChainTask(
+            profile=profile, n=120, theta=theta, scheme=scheme, point=point
+        )
+        cfg = MonteCarloConfig(trials=20, seed=5)
+        for trial in range(cfg.trials):
+            fleet = scheme.deploy(profile, 120, cfg.rng_for_trial(trial))
+            expected = _scalar_chain(fleet, point, theta)
+            assert task(trial, cfg.rng_for_trial(trial)) == expected, trial
+
     def test_sandwich_never_violated(self, profile):
         cfg = MonteCarloConfig(trials=150, seed=9)
         chain = estimate_condition_chain(profile, 250, THETA, cfg)

@@ -63,12 +63,7 @@ class TestSpellings:
 
     def test_dataclass_and_raw_dict_agree(self):
         config = MonteCarloConfig(trials=64, seed=9)
-        as_dict = {
-            "trials": 64,
-            "seed": 9,
-            "use_index": config.use_index,
-            "workers": None,
-        }
+        as_dict = {"trials": 64, "seed": 9, "workers": None}
         assert config_digest(config) == config_digest(as_dict)
 
     def test_local_dataclass_and_dict_agree(self):

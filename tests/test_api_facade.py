@@ -114,12 +114,6 @@ class TestEvaluateGrid:
                 fleet=fleet, theta=THETA, resolution=5, grid=DenseGrid(side=5)
             )
 
-    def test_kernel_paths_agree(self):
-        fleet = deploy(profile=PROFILE, n=80, seed=6)
-        dense = evaluate_grid(fleet=fleet, theta=THETA, resolution=9, kernel="dense")
-        sparse = evaluate_grid(fleet=fleet, theta=THETA, resolution=9, kernel="sparse")
-        assert np.array_equal(dense.mask, sparse.mask)
-
     def test_empty_mask_fraction_is_zero(self):
         ev = GridEvaluation(
             points=np.empty((0, 2)),

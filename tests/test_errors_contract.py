@@ -34,7 +34,7 @@ from repro import (
 )
 from repro.errors import ExperimentError
 from repro.experiments import get_experiment
-from repro.simulation.montecarlo import condition_predicate
+from repro.simulation.montecarlo import estimate_point_probability
 from repro.simulation.runner import run_resilient_trials
 from repro.simulation.statistics import wilson_interval
 
@@ -122,9 +122,17 @@ class TestSimulationRejections:
         with pytest.raises(FullViewError):
             cfg.rng_for_trial(-1)
 
-    def test_condition_predicate(self):
+    def test_point_probability_condition(self):
+        profile = HeterogeneousProfile.homogeneous(
+            CameraSpec(radius=0.2, angle_of_view=math.pi / 2)
+        )
+        cfg = MonteCarloConfig(trials=2, seed=0)
         with pytest.raises(FullViewError):
-            condition_predicate("bogus", math.pi / 3)
+            estimate_point_probability(profile, 10, math.pi / 3, "bogus", cfg)
+        with pytest.raises(FullViewError):
+            estimate_point_probability(
+                profile, 10, math.pi / 3, "k_coverage", cfg, k=0
+            )
 
     def test_wilson_interval(self):
         with pytest.raises(FullViewError):
