@@ -14,7 +14,8 @@ fields mirror the :mod:`repro.api` facade signatures (``deploy`` /
 - :meth:`WireBody.to_wire` — the inverse: a JSON-ready dict carrying
   the ``schema`` tag, such that ``from_wire(to_wire(body)) == body``.
 - :meth:`WireBody.canonical` — the body as canonical plain data with
-  every default filled in, which is what
+  every default filled in and every field its computation ignores
+  reset to its default, which is what
   :func:`repro.api.config_digest` hashes: two requests that mean the
   same computation digest identically no matter how they were spelled.
 
@@ -145,14 +146,24 @@ class WireBody:
         wire.update(canonical_payload(self))
         return wire
 
+    def _ignored_fields(self) -> Tuple[str, ...]:
+        """Fields this body's computation never reads (none by default)."""
+        return ()
+
     def canonical(self) -> Dict[str, Any]:
         """Canonical plain data with every default filled in.
 
         This is the digest input: requests that mean the same
         computation canonicalize to the same dict regardless of which
         defaults were spelled out, field order, or a JSON round trip.
+        Fields the computation ignores (:meth:`_ignored_fields`) are
+        reset to their defaults, so they never split a cache key.
         """
         canonical = canonical_payload(self)
+        ignored = self._ignored_fields()
+        for spec in dataclasses.fields(self):
+            if spec.name in ignored:
+                canonical[spec.name] = canonical_payload(spec.default)
         canonical["endpoint"] = self.ENDPOINT
         return canonical
 
@@ -200,6 +211,12 @@ class EvaluateRequest(WireBody):
             raise SchemaError(
                 f"evaluate.resolution must be >= 1, got {self.resolution!r}"
             )
+        if self.k < 1:
+            raise SchemaError(f"evaluate.k must be >= 1, got {self.k!r}")
+
+    def _ignored_fields(self) -> Tuple[str, ...]:
+        """``k`` matters only to the k-coverage condition."""
+        return () if self.condition == "k_coverage" else ("k",)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -239,6 +256,20 @@ class EstimateRequest(WireBody):
             raise SchemaError(
                 f"estimate.sample_points must be >= 1, got {self.sample_points!r}"
             )
+        if self.k < 1:
+            raise SchemaError(f"estimate.k must be >= 1, got {self.k!r}")
+
+    def _ignored_fields(self) -> Tuple[str, ...]:
+        """The fields ``kind`` (and, for ``k``, ``condition``) never read."""
+        reads_k = self.condition == "k_coverage" and self.kind in ("point", "area_fraction")
+        ignored = {
+            "k": not reads_k,
+            "sample_points": self.kind != "area_fraction",
+            "max_grid_points": self.kind != "grid_failure",
+            "point": self.kind not in ("point", "condition_chain"),
+            "condition": self.kind == "condition_chain",
+        }
+        return tuple(name for name, unread in ignored.items() if unread)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -7,21 +7,23 @@ Results are bit-identical to the scalar path (property-tested), and the
 speedup makes the grid-level experiments (PHASE, GAP, BARRIER) an order
 of magnitude cheaper.
 
-The core object is the boolean *covering matrix* ``C[i, j]`` — does
-sensor ``j`` cover point ``i`` — together with the per-pair viewed
-directions, from which every condition (exact gap test, sector
-occupancy, k-coverage) is evaluated without further geometry.
-
-Two evaluation paths produce that object. The *dense* path broadcasts
-every point against every sensor. The *sparse* path prunes candidates
-through :meth:`ToroidalCellIndex.query_radius_batch` and evaluates only
-(point, sensor) pairs whose cells intersect the largest sensing disk —
-in the paper's regime (``r ~ sqrt(log n / n)``) that is ``O(log n)``
-pairs per point instead of ``n``. The sparse path applies the exact
-same float formulas pairwise and feeds the same gap reduction, so both
-paths are bit-identical (property-tested); dispatch between them goes
-through :func:`repro.core.kernels.resolve_kernel` via the ``kernel=``
-argument every public kernel accepts.
+Every condition (exact gap test, sector occupancy, k-coverage) is a
+reduction over one set of data: the *covering pairs* — each (point,
+sensor) pair where the sensor covers the point, with its viewed
+direction.  One formula, :func:`_pair_verdicts`, decides a pair's
+verdict and direction, and the two evaluation paths differ only in
+which pairs they hand it.  The *dense* path
+(:func:`covering_and_directions`) broadcasts every point against every
+sensor.  The *sparse* path (:func:`sparse_covering_pairs`) prunes
+candidates through :meth:`ToroidalCellIndex.query_radius_batch` and
+evaluates only (point, sensor) pairs whose cells intersect the largest
+sensing disk — in the paper's regime (``r ~ sqrt(log n / n)``) that is
+``O(log n)`` pairs per point instead of ``n``.  :func:`_covering_pairs`
+picks the path through :func:`repro.core.kernels.resolve_kernel` (the
+``kernel=`` argument every public kernel accepts) and flattens either
+result into the same covering pairs, in ascending point order; each
+reduction below is then written once, so both paths are bit-identical
+by construction (property-tested).
 """
 
 from __future__ import annotations
@@ -62,6 +64,33 @@ def _chunk_rows(num_points: int, num_sensors: int) -> int:
     return max(1, _MAX_PAIRS_PER_CHUNK // max(1, num_sensors))
 
 
+def _pair_verdicts(
+    delta: np.ndarray,
+    radii: np.ndarray,
+    orientations: np.ndarray,
+    half_angles: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Covering verdicts and viewed directions of (point, sensor) pairs.
+
+    ``delta[..., :]`` is the wrapped displacement ``P -> S`` of each
+    pair; the sensor arrays broadcast against ``delta[..., 0]``.  A
+    sensor coincident with the point counts as covering, mirroring the
+    scalar path, and gets a ``nan`` direction, which every reduction
+    skips — matching the scalar path's drop of coincident sensors.
+    """
+    dist_sq = delta[..., 0] ** 2 + delta[..., 1] ** 2
+    within = dist_sq <= radii**2
+    heading_ps = np.arctan2(delta[..., 1], delta[..., 0])
+    # Sensor-to-point bearing is the opposite heading.
+    bearing_sp = heading_ps + math.pi
+    offset = np.abs(np.mod(bearing_sp - orientations + math.pi, TWO_PI) - math.pi)
+    in_wedge = offset <= half_angles + 1e-12
+    coincident = dist_sq <= 1e-24  # apex tolerance, mirroring the scalar path
+    directions = np.mod(heading_ps, TWO_PI)
+    directions[coincident] = np.nan
+    return within & (in_wedge | coincident), directions
+
+
 def covering_and_directions(
     fleet: SensorFleet, points: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,31 +114,15 @@ def covering_and_directions(
     directions = np.full((m, n), np.nan)
     if n == 0 or m == 0:
         return covers, directions
-    positions = fleet.positions
-    orientations = fleet.orientations
-    radii = fleet.radii
     half_angles = 0.5 * fleet.angles
-    region = fleet.region
     rows = _chunk_rows(m, n)
     for start in range(0, m, rows):
-        stop = min(m, start + rows)
-        block = points[start:stop]
+        block = slice(start, start + rows)
         # delta[i, j] = S_j - P_i (wrapped): direction P -> S.
-        delta = region.pairwise_displacements(block, positions)
-        dist_sq = delta[..., 0] ** 2 + delta[..., 1] ** 2
-        within = dist_sq <= radii[None, :] ** 2
-        heading_ps = np.arctan2(delta[..., 1], delta[..., 0])
-        # Sensor-to-point bearing is the opposite heading.
-        bearing_sp = heading_ps + math.pi
-        offset = np.abs(
-            np.mod(bearing_sp - orientations[None, :] + math.pi, TWO_PI) - math.pi
+        delta = fleet.region.displacements(points[block, None, :], fleet.positions)
+        covers[block], directions[block] = _pair_verdicts(
+            delta, fleet.radii, fleet.orientations, half_angles
         )
-        in_wedge = offset <= half_angles[None, :] + 1e-12
-        coincident = dist_sq <= 1e-24  # apex tolerance, mirroring the scalar path
-        covers[start:stop] = within & (in_wedge | coincident)
-        block_dirs = np.mod(heading_ps, TWO_PI)
-        block_dirs[coincident] = np.nan
-        directions[start:stop] = block_dirs
     return covers, directions
 
 
@@ -121,9 +134,10 @@ class SparseCovering:
     of the CSR structure holds point ``i``'s candidate sensors (cells
     intersecting the largest sensing disk — a superset of its covering
     sensors), with the covering verdict and viewed direction evaluated
-    per pair by the exact dense formulas.  Pairs outside the candidate
-    set are guaranteed non-covering, so every per-point reduction over
-    this structure matches its dense counterpart bit for bit.
+    per pair by the same :func:`_pair_verdicts` as the dense path.
+    Pairs outside the candidate set are guaranteed non-covering, so
+    every per-point reduction over this structure matches its dense
+    counterpart bit for bit.
     """
 
     #: ``(m + 1,)`` prefix offsets; point ``i``'s pairs occupy
@@ -170,9 +184,8 @@ def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCover
     cached on the fleet) queried at the largest sensing radius with no
     distance refinement — a cell-level superset, nudged up one ulp so
     borderline float comparisons can never lose a covering pair.  Each
-    candidate pair is then evaluated with the same displacement, radius,
-    wedge and coincidence formulas as the dense path, chunked to bound
-    memory.
+    candidate pair is then evaluated by :func:`_pair_verdicts`, as in
+    the dense path, chunked to bound memory.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     m = points.shape[0]
@@ -192,84 +205,46 @@ def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCover
         rows = np.repeat(np.arange(m, dtype=np.intp), np.diff(indptr))
         covers = np.empty(nnz, dtype=bool)
         directions = np.empty(nnz, dtype=float)
-        positions = fleet.positions
-        orientations = fleet.orientations
-        radii = fleet.radii
         half_angles = 0.5 * fleet.angles
-        region = fleet.region
         for start in range(0, nnz, _MAX_PAIRS_PER_CHUNK):
-            sl = slice(start, min(nnz, start + _MAX_PAIRS_PER_CHUNK))
-            s = sensors[sl]
-            p = rows[sl]
-            delta = region.elementwise_displacements(points[p], positions[s])
-            dist_sq = delta[:, 0] ** 2 + delta[:, 1] ** 2
-            within = dist_sq <= radii[s] ** 2
-            heading_ps = np.arctan2(delta[:, 1], delta[:, 0])
-            bearing_sp = heading_ps + math.pi
-            offset = np.abs(
-                np.mod(bearing_sp - orientations[s] + math.pi, TWO_PI) - math.pi
+            chunk = slice(start, start + _MAX_PAIRS_PER_CHUNK)
+            s = sensors[chunk]
+            delta = fleet.region.displacements(points[rows[chunk]], fleet.positions[s])
+            covers[chunk], directions[chunk] = _pair_verdicts(
+                delta, fleet.radii[s], fleet.orientations[s], half_angles[s]
             )
-            in_wedge = offset <= half_angles[s] + 1e-12
-            coincident = dist_sq <= 1e-24  # apex tolerance, as in the dense path
-            covers[sl] = within & (in_wedge | coincident)
-            pair_dirs = np.mod(heading_ps, TWO_PI)
-            pair_dirs[coincident] = np.nan
-            directions[sl] = pair_dirs
     return SparseCovering(
         indptr=indptr, sensors=sensors, covers=covers, directions=directions
     )
 
 
-def _resolve_and_count(fleet: SensorFleet, num_points: int, kernel: str) -> str:
-    """Resolve the kernel choice and record it in the obs counters."""
-    resolved = resolve_kernel(fleet, num_points, kernel)
+def _covering_pairs(
+    fleet: SensorFleet, points: np.ndarray, kernel: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The covering pairs of ``points``, enumerated by the chosen kernel.
+
+    Resolves the kernel (counted in the obs registry) and returns two
+    flat arrays over the pairs where a sensor covers a point: the point
+    ids, ascending, and the viewed directions (``nan`` for a coincident
+    sensor).  Both paths yield the same pairs in the same order — sensor
+    ids ascend within a point — with the same scalars.
+    """
+    resolved = resolve_kernel(fleet, points.shape[0], kernel)
     registry = active_metrics()
     if registry is not None:
         registry.inc(f"kernel_{resolved}")
-    return resolved
-
-
-def _sparse_valid_padded(sp: SparseCovering) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-point counts and inf-padded sorted direction rows.
-
-    Packs each point's valid (covering, non-coincident) directions into
-    a ``(m, width)`` matrix shaped exactly like the dense path's sorted
-    masked rows — the same value set in the same ascending order, just
-    narrower — so :func:`_max_gap_rows` runs unchanged on it and the
-    gaps come out bit-identical.
-    """
-    m = sp.num_points
-    valid = sp.covers & ~np.isnan(sp.directions)
-    rows = sp.rows()[valid]
-    dirs = sp.directions[valid]
-    # bincount/lexsort are the sparse path's core and have no array-API
-    # standard form: a port to another array library must supply them.
-    counts = np.bincount(rows, minlength=m)  # fvlint: disable=FV009 (see above)
-    width = int(counts.max()) if m > 0 else 0
-    padded = np.full((m, width), np.inf)
-    if dirs.size:
-        order = np.lexsort((dirs, rows))  # fvlint: disable=FV009 (see above)
-        rows_sorted = rows[order]
-        starts = np.zeros(m, dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        slots = np.arange(rows_sorted.size, dtype=np.intp) - starts[rows_sorted]
-        padded[rows_sorted, slots] = dirs[order]
-    return counts, padded
-
-
-def coverage_counts(
-    fleet: SensorFleet, points: np.ndarray, kernel: str = "auto"
-) -> np.ndarray:
-    """Vectorised per-point covering-sensor counts."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    resolved = _resolve_and_count(fleet, points.shape[0], kernel)
     if resolved == "sparse":
         sp = sparse_covering_pairs(fleet, points)
-        return np.bincount(  # fvlint: disable=FV009 (no array-API bincount)
-            sp.rows()[sp.covers], minlength=sp.num_points
-        )
-    covers, _ = covering_and_directions(fleet, points)
-    return covers.sum(axis=1)
+        return sp.rows()[sp.covers], sp.directions[sp.covers]
+    covers, directions = covering_and_directions(fleet, points)
+    return np.nonzero(covers)[0], directions[covers]
+
+
+def _counts(rows: np.ndarray, num_points: int) -> np.ndarray:
+    """Pairs per point, from the pairs' point ids."""
+    # bincount has no array-API standard form: a port to another array
+    # library must supply it.
+    return np.bincount(rows, minlength=num_points)  # fvlint: disable=FV009 (see above)
 
 
 def _max_gap_rows(directions_sorted: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -299,17 +274,33 @@ def _max_gap_rows(directions_sorted: np.ndarray, counts: np.ndarray) -> np.ndarr
     return gaps
 
 
-def _max_gaps_impl(fleet: SensorFleet, points: np.ndarray, resolved: str) -> np.ndarray:
-    """Gap computation for an already-resolved kernel choice."""
-    if resolved == "sparse":
-        sp = sparse_covering_pairs(fleet, points)
-        counts, padded = _sparse_valid_padded(sp)
-        return _max_gap_rows(padded, counts)
-    covers, directions = covering_and_directions(fleet, points)
-    masked = np.where(covers & ~np.isnan(directions), directions, np.inf)
-    masked.sort(axis=1)
-    counts = (covers & ~np.isnan(directions)).sum(axis=1)
-    return _max_gap_rows(masked, counts)
+def _viewed_counts_and_gaps(
+    rows: np.ndarray, directions: np.ndarray, num_points: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Viewed directions per point and their largest circular gap.
+
+    Drops coincident (``nan``) pairs, then packs each point's directions
+    into one row of an inf-padded matrix — ascending point ids make the
+    slot of a pair its offset from the point's first pair — and sorts
+    the rows for :func:`_max_gap_rows`.
+    """
+    viewed = ~np.isnan(directions)
+    rows, directions = rows[viewed], directions[viewed]
+    counts = _counts(rows, num_points)
+    firsts = np.cumsum(counts) - counts
+    padded = np.full((num_points, int(counts.max(initial=0))), np.inf)
+    padded[rows, np.arange(rows.shape[0]) - firsts[rows]] = directions
+    padded.sort(axis=1)
+    return counts, _max_gap_rows(padded, counts)
+
+
+def coverage_counts(
+    fleet: SensorFleet, points: np.ndarray, kernel: str = "auto"
+) -> np.ndarray:
+    """Vectorised per-point covering-sensor counts."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    rows, _ = _covering_pairs(fleet, points, kernel)
+    return _counts(rows, points.shape[0])
 
 
 def max_gaps(
@@ -322,26 +313,8 @@ def max_gaps(
     ``theta < pi``; the ``<=`` comparison handles ``theta = pi``).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    resolved = _resolve_and_count(fleet, points.shape[0], kernel)
-    return _max_gaps_impl(fleet, points, resolved)
-
-
-def _full_view_impl(
-    fleet: SensorFleet, points: np.ndarray, theta: float, resolved: str
-) -> np.ndarray:
-    """Full-view verdicts for an already-resolved kernel choice."""
-    if resolved == "sparse":
-        sp = sparse_covering_pairs(fleet, points)
-        counts, padded = _sparse_valid_padded(sp)
-        gaps = _max_gap_rows(padded, counts)
-        return (counts >= 1) & (gaps <= 2.0 * theta + 1e-12)
-    covers, directions = covering_and_directions(fleet, points)
-    valid = covers & ~np.isnan(directions)
-    counts = valid.sum(axis=1)
-    masked = np.where(valid, directions, np.inf)
-    masked.sort(axis=1)
-    gaps = _max_gap_rows(masked, counts)
-    return (counts >= 1) & (gaps <= 2.0 * theta + 1e-12)
+    rows, directions = _covering_pairs(fleet, points, kernel)
+    return _viewed_counts_and_gaps(rows, directions, points.shape[0])[1]
 
 
 def full_view_mask(
@@ -352,10 +325,7 @@ def full_view_mask(
     Equivalent to calling
     :func:`repro.core.full_view.point_is_full_view_covered` per point.
     """
-    theta = validate_effective_angle(theta)
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    resolved = _resolve_and_count(fleet, points.shape[0], kernel)
-    return _full_view_impl(fleet, points, theta, resolved)
+    return condition_mask(fleet, points, theta, "exact", kernel=kernel)
 
 
 def condition_mask(
@@ -382,48 +352,23 @@ def condition_mask(
         partition = necessary_partition(theta)
     elif condition == "sufficient":
         partition = sufficient_partition(theta)
-    elif condition in ("exact", "k_coverage"):
-        partition = None
-    else:
+    elif condition not in ("exact", "k_coverage"):
         raise InvalidParameterError(
             "condition must be 'exact', 'necessary', 'sufficient' or "
             f"'k_coverage', got {condition!r}"
         )
-    resolved = _resolve_and_count(fleet, points.shape[0], kernel)
-    if condition == "exact":
-        return _full_view_impl(fleet, points, theta, resolved)
+    m = points.shape[0]
+    rows, directions = _covering_pairs(fleet, points, kernel)
     if condition == "k_coverage":
-        if resolved == "sparse":
-            sp = sparse_covering_pairs(fleet, points)
-            return (
-                np.bincount(  # fvlint: disable=FV009 (no array-API bincount)
-                    sp.rows()[sp.covers], minlength=sp.num_points
-                )
-                >= k
-            )
-        covers, _ = covering_and_directions(fleet, points)
-        return covers.sum(axis=1) >= k
-    if resolved == "sparse":
-        sp = sparse_covering_pairs(fleet, points)
-        valid = sp.covers & ~np.isnan(sp.directions)
-        rows = sp.rows()
-        m = sp.num_points
-        result = np.ones(m, dtype=bool)
-        for sector in partition.sectors:
-            rel = np.mod(sp.directions - sector.start, TWO_PI)
-            in_sector = valid & (rel <= sector.extent + 1e-12)
-            result &= (  # fvlint: disable=FV009 (no array-API bincount)
-                np.bincount(rows[in_sector], minlength=m) > 0
-            )
-        return result
-    covers, directions = covering_and_directions(fleet, points)
-    valid = covers & ~np.isnan(directions)
-    m = covers.shape[0]
+        return _counts(rows, m) >= k
+    if condition == "exact":
+        counts, gaps = _viewed_counts_and_gaps(rows, directions, m)
+        return (counts >= 1) & (gaps <= 2.0 * theta + 1e-12)
     result = np.ones(m, dtype=bool)
     for sector in partition.sectors:
+        # A coincident pair's nan direction compares false: never in a sector.
         rel = np.mod(directions - sector.start, TWO_PI)
-        in_sector = valid & (rel <= sector.extent + 1e-12)
-        result &= in_sector.any(axis=1)
+        result &= _counts(rows[rel <= sector.extent + 1e-12], m) > 0
     return result
 
 

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.core.full_view import is_full_view_covered
 from repro.deployment.cluster import MaternClusterDeployment
 from repro.deployment.poisson import PoissonDeployment
 from repro.experiments.registry import ExperimentResult, register
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
-from repro.simulation.montecarlo import MonteCarloConfig
+from repro.simulation.montecarlo import MonteCarloConfig, estimate_point_probability
 from repro.simulation.results import ResultTable
 
 __all__ = ["run"]
@@ -33,17 +30,9 @@ __all__ = ["run"]
 
 def _point_probability(scheme, profile, n, theta, trials, seed) -> float:
     cfg = MonteCarloConfig(trials=trials, seed=seed)
-    point = (0.5, 0.5)
-    hits = 0
-    for rng in cfg.rngs():
-        fleet = scheme.deploy(profile, n, rng)
-        if len(fleet):
-            fleet.build_index()
-            dirs = fleet.covering_directions(point)
-        else:
-            dirs = np.empty(0)
-        hits += is_full_view_covered(dirs, theta)
-    return hits / trials
+    return estimate_point_probability(
+        profile, n, theta, "exact", cfg, scheme=scheme
+    ).proportion
 
 
 @register(

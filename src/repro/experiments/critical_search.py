@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from repro.core.batch import full_view_mask
 from repro.core.csa import csa_necessary, csa_sufficient
-from repro.deployment.uniform import UniformDeployment
 from repro.experiments.registry import ExperimentResult, register
-from repro.geometry.grid import DenseGrid
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
-from repro.simulation.montecarlo import MonteCarloConfig
+from repro.simulation.montecarlo import (
+    MonteCarloConfig,
+    estimate_grid_failure_probability,
+)
 from repro.simulation.results import ResultTable
 
 __all__ = ["bisect_transition", "grid_coverage_probability", "run"]
@@ -37,17 +37,11 @@ def grid_coverage_probability(
 ) -> float:
     """P(every sampled grid point full-view covered) at sensing area s."""
     profile = HeterogeneousProfile.homogeneous(CameraSpec.from_area(s, _PHI))
-    scheme = UniformDeployment()
-    grid = DenseGrid.for_sensor_count(n)
     cfg = MonteCarloConfig(trials=trials, seed=seed)
-    covered = 0
-    for rng in cfg.rngs():
-        fleet = scheme.deploy(profile, n, rng)
-        points = (
-            grid.sample(max_points, rng) if max_points < len(grid) else grid.points
-        )
-        covered += bool(full_view_mask(fleet, points, theta).all())
-    return covered / trials
+    failures = estimate_grid_failure_probability(
+        profile, n, theta, "exact", cfg, max_grid_points=max_points
+    ).successes
+    return (trials - failures) / trials
 
 
 def bisect_transition(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -107,19 +107,24 @@ class Region:
             return points
         return np.mod(points, self.side)
 
-    def displacements(self, source: Point, targets: np.ndarray) -> np.ndarray:
-        """Shortest displacement vectors from one point to many.
+    def displacements(
+        self, source: Union[Point, np.ndarray], targets: np.ndarray
+    ) -> np.ndarray:
+        """Shortest displacement vectors from ``source`` to ``targets``.
 
         Parameters
         ----------
         source:
-            A single ``(x, y)`` point.
+            A single ``(x, y)`` point, or an array of points that
+            broadcasts against ``targets``: aligned ``(n, 2)`` arrays
+            give one displacement per row, and an ``(m, 1, 2)`` source
+            against ``(n, 2)`` targets gives every pair.
         targets:
             An ``(n, 2)`` array of points.
 
         Returns
         -------
-        ``(n, 2)`` array of displacement vectors.
+        The broadcast ``(..., 2)`` array of displacement vectors.
         """
         targets = np.asarray(targets, dtype=float)
         delta = targets - np.asarray(source, dtype=float)
@@ -133,24 +138,6 @@ class Region:
         delta = self.displacements(source, targets)
         return np.hypot(delta[:, 0], delta[:, 1])
 
-    def elementwise_displacements(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Displacement vectors between aligned point arrays.
-
-        ``sources`` and ``targets`` are both ``(n, 2)``; row ``i`` of the
-        result is the shortest displacement ``sources[i] -> targets[i]``.
-        The wrap formula is the same one :meth:`pairwise_displacements`
-        applies, so a pair evaluated here is bit-identical to the same
-        pair inside a dense displacement block — the sparse coverage
-        kernels rely on that.
-        """
-        sources = np.asarray(sources, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        delta = targets - sources
-        if self.torus:
-            half = 0.5 * self.side
-            delta = np.mod(delta + half, self.side) - half
-        return delta
-
     def pairwise_displacements(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """All displacement vectors between two point sets.
 
@@ -158,12 +145,7 @@ class Region:
         memory grows as the product of the set sizes.
         """
         sources = np.asarray(sources, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        delta = targets[None, :, :] - sources[:, None, :]
-        if self.torus:
-            half = 0.5 * self.side
-            delta = np.mod(delta + half, self.side) - half
-        return delta
+        return self.displacements(sources[:, None, :], targets)
 
     def max_distance(self) -> float:
         """Largest possible distance between two points in the region."""

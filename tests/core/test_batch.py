@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.batch import (
     condition_mask,
@@ -30,6 +30,24 @@ from repro.sensors.model import CameraSpec, HeterogeneousProfile
 
 coords = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
 
+#: Both evaluation paths: every scalar-reference test checks each one.
+KERNELS = ("dense", "sparse")
+
+#: Probes where floats bite: on the wrap seam and in its corners, and
+#: exactly at three of ``edge_fleet``'s sensors (a coincident sensor;
+#: the origin is both).
+EDGE_PROBES = np.array(
+    [
+        [0.0, 0.0],
+        [0.0, 0.62],
+        [0.41, 0.0],
+        [0.9999999, 0.15],
+        [0.5, 0.9999999],
+        [0.0, 0.3],
+        [0.73, 0.41],
+    ]
+)
+
 
 @pytest.fixture(scope="module")
 def fleet():
@@ -45,6 +63,43 @@ def fleet():
 @pytest.fixture(scope="module")
 def points():
     return np.random.default_rng(4).uniform(size=(60, 2))
+
+
+@pytest.fixture(scope="module")
+def edge_fleet():
+    """Sensors on the seam and at probes, radii >= 0.5, phi = 2*pi."""
+    rng = np.random.default_rng(6)
+    positions = np.vstack(
+        [[[0.0, 0.0], [0.0, 0.3], [0.73, 0.41]], rng.uniform(size=(37, 2))]
+    )
+    n = positions.shape[0]
+    orientations = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    # Facing 0, the first two cover the probe they sit on only through
+    # the coincidence rule: the wedge test alone rejects it.
+    orientations[:2] = 0.0
+    return SensorFleet(
+        positions=positions,
+        orientations=orientations,
+        radii=np.where(np.arange(n) % 2 == 0, 0.6, 0.12),
+        angles=np.array([math.pi / 2, 2.0, 2.0 * math.pi])[np.arange(n) % 3],
+    )
+
+
+@pytest.fixture(scope="module")
+def cases(fleet, points, edge_fleet):
+    """(fleet, points) inputs of the scalar-reference tests."""
+    edge_points = np.vstack(
+        [EDGE_PROBES, np.random.default_rng(8).uniform(size=(30, 2))]
+    )
+    return ((fleet, points), (edge_fleet, edge_points))
+
+
+def scalar_directions(fleet, points):
+    """The scalar reference's viewed directions, point by point."""
+    return [
+        fleet.covering_directions((float(x), float(y)), use_index=False)
+        for x, y in points
+    ]
 
 
 class TestCoveringMatrix:
@@ -88,54 +143,66 @@ class TestCoveringMatrix:
 
 
 class TestCoverageCounts:
-    def test_matches_scalar(self, fleet, points):
-        batch = coverage_counts(fleet, points)
-        scalar = fleet.coverage_counts(points, use_index=False)
-        assert (batch == scalar).all()
+    def test_matches_scalar(self, cases):
+        for fleet, points in cases:
+            scalar = fleet.coverage_counts(points, use_index=False)
+            for kernel in KERNELS:
+                batch = coverage_counts(fleet, points, kernel=kernel)
+                assert (batch == scalar).all(), kernel
 
 
 class TestMaxGaps:
-    def test_matches_scalar(self, fleet, points):
-        gaps = max_gaps(fleet, points)
-        for i, (x, y) in enumerate(points):
-            dirs = fleet.covering_directions((float(x), float(y)), use_index=False)
-            expected = max_circular_gap(dirs)
-            assert gaps[i] == pytest.approx(expected, abs=1e-12)
+    def test_matches_scalar(self, cases):
+        for fleet, points in cases:
+            expected = [max_circular_gap(d) for d in scalar_directions(fleet, points)]
+            for kernel in KERNELS:
+                gaps = max_gaps(fleet, points, kernel=kernel)
+                assert gaps == pytest.approx(np.array(expected), abs=1e-12), kernel
 
 
 class TestFullViewMask:
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 3, math.pi / 2, math.pi])
-    def test_matches_scalar(self, fleet, points, theta):
-        mask = full_view_mask(fleet, points, theta)
-        for i, (x, y) in enumerate(points):
-            dirs = fleet.covering_directions((float(x), float(y)), use_index=False)
-            assert mask[i] == is_full_view_covered(dirs, theta)
+    def test_matches_scalar(self, cases, theta):
+        for fleet, points in cases:
+            expected = [
+                is_full_view_covered(d, theta) for d in scalar_directions(fleet, points)
+            ]
+            for kernel in KERNELS:
+                mask = full_view_mask(fleet, points, theta, kernel=kernel)
+                assert mask.tolist() == expected, kernel
 
     @given(st.tuples(coords, coords), st.floats(min_value=0.1, max_value=math.pi))
+    @example((0.0, 0.0), math.pi)
+    @example((0.73, 0.41), 1.0)
     @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_property(self, probe, theta):
+    def test_matches_scalar_property(self, edge_fleet, probe, theta):
         profile = HeterogeneousProfile.homogeneous(
             CameraSpec(radius=0.3, angle_of_view=2.0)
         )
         fleet = UniformDeployment().deploy(profile, 60, np.random.default_rng(11))
-        mask = full_view_mask(fleet, np.array([probe]), theta)
-        dirs = fleet.covering_directions(probe, use_index=False)
-        assert bool(mask[0]) == is_full_view_covered(dirs, theta)
+        for case in (fleet, edge_fleet):
+            dirs = case.covering_directions(probe, use_index=False)
+            for kernel in KERNELS:
+                mask = full_view_mask(case, np.array([probe]), theta, kernel=kernel)
+                assert bool(mask[0]) == is_full_view_covered(dirs, theta), kernel
 
 
 class TestConditionMask:
     @pytest.mark.parametrize("condition", ["necessary", "sufficient"])
-    @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 3, 0.4 * math.pi])
-    def test_matches_scalar(self, fleet, points, condition, theta):
-        mask = condition_mask(fleet, points, theta, condition)
+    @pytest.mark.parametrize(
+        "theta", [math.pi / 4, math.pi / 3, 0.4 * math.pi, math.pi]
+    )
+    def test_matches_scalar(self, cases, condition, theta):
         check = (
             necessary_condition_holds
             if condition == "necessary"
             else sufficient_condition_holds
         )
-        for i, (x, y) in enumerate(points):
-            dirs = fleet.covering_directions((float(x), float(y)), use_index=False)
-            assert mask[i] == check(dirs, theta)
+        for fleet, points in cases:
+            expected = [check(d, theta) for d in scalar_directions(fleet, points)]
+            for kernel in KERNELS:
+                mask = condition_mask(fleet, points, theta, condition, kernel=kernel)
+                assert mask.tolist() == expected, kernel
 
     def test_unknown_condition(self, fleet, points):
         with pytest.raises(InvalidParameterError):
@@ -212,9 +279,10 @@ class TestMaxGapsVectorised:
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
-    def test_matches_scalar_gap(self, fleet, seed):
-        pts = np.random.default_rng(seed).uniform(size=(20, 2))
-        gaps = max_gaps(fleet, pts)
-        for i, (x, y) in enumerate(pts):
-            dirs = fleet.covering_directions((float(x), float(y)), use_index=False)
-            assert gaps[i] == pytest.approx(max_circular_gap(dirs), abs=1e-12)
+    def test_matches_scalar_gap(self, fleet, edge_fleet, seed):
+        pts = np.vstack([np.random.default_rng(seed).uniform(size=(20, 2)), EDGE_PROBES])
+        for case in (fleet, edge_fleet):
+            expected = [max_circular_gap(d) for d in scalar_directions(case, pts)]
+            for kernel in KERNELS:
+                gaps = max_gaps(case, pts, kernel=kernel)
+                assert gaps == pytest.approx(np.array(expected), abs=1e-12), kernel

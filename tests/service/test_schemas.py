@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -18,6 +19,8 @@ from repro.api.schemas import (
     parse_request,
 )
 from repro.errors import SchemaError
+from repro.service import CoverageService, cache_key
+from tests.service.conftest import post
 
 
 def estimate_body(**overrides):
@@ -30,6 +33,16 @@ def estimate_body(**overrides):
     }
     body.update(overrides)
     return body
+
+
+def evaluate_body(**overrides):
+    body = {"radius": 0.25, "angle_of_view": 1.2, "n": 30, "theta": 1.0}
+    body.update(overrides)
+    return body
+
+
+def key(endpoint, body):
+    return cache_key(parse_request(endpoint, body), git_sha="0" * 40)
 
 
 class TestParsing:
@@ -129,6 +142,65 @@ class TestCanonical:
         a = EstimateRequest.from_wire(estimate_body(seed=1))
         b = EstimateRequest.from_wire(estimate_body(seed=2))
         assert config_digest(a.canonical()) != config_digest(b.canonical())
+
+    def test_one_key_per_computation(self):
+        # (endpoint, base body, fields its computation ignores, fields it reads)
+        cases = [
+            ("estimate", estimate_body(kind="point"),
+             dict(k=5, sample_points=64, max_grid_points=10),
+             dict(point=[0.2, 0.3], condition="necessary")),
+            ("estimate", estimate_body(kind="point", condition="k_coverage"),
+             dict(sample_points=64), dict(k=2)),
+            ("estimate", estimate_body(kind="grid_failure"),
+             dict(k=3, sample_points=64, point=[0.2, 0.3]), dict(max_grid_points=10)),
+            ("estimate", estimate_body(kind="area_fraction", condition="k_coverage"),
+             dict(max_grid_points=10, point=[0.2, 0.3]), dict(k=2, sample_points=64)),
+            ("estimate", estimate_body(kind="condition_chain"),
+             dict(condition="necessary", k=4, sample_points=64, max_grid_points=10),
+             dict(point=[0.2, 0.3])),
+            ("evaluate", evaluate_body(), dict(k=7), dict(condition="necessary")),
+            ("evaluate", evaluate_body(condition="k_coverage"), {}, dict(k=2)),
+        ]
+        for endpoint, base, ignored, read in cases:
+            for name, value in ignored.items():
+                assert key(endpoint, {**base, name: value}) == key(endpoint, base), name
+            for name, value in read.items():
+                assert key(endpoint, {**base, name: value}) != key(endpoint, base), name
+
+    def test_spelled_defaults_keep_their_key(self):
+        # Pinned: resetting ignored fields must not move the digest of a
+        # body whose ignored fields already sit at their defaults (run
+        # ledger rows are matched across revisions by this digest).
+        pinned = [
+            ("estimate",
+             estimate_body(trials=200, seed=0, condition="exact", k=1,
+                           sample_points=256, max_grid_points=None, point=None),
+             "31b304a8993c85c92d843c8f07a1e1d6844c025c2d4b09fe70dc0bcb177d71be"),
+            ("estimate", estimate_body(kind="grid_failure", max_grid_points=50,
+                                       condition="necessary"),
+             "bfc99d97b12dbbd8e862f4487b879eba78681d7f5184067b0813f99551d675f8"),
+            ("evaluate", evaluate_body(seed=0, condition="exact", k=1, resolution=None),
+             "7f5459830725e92f78905a5dad1854ed68c5b5ad51103728abc5d7681dbc0de0"),
+        ]
+        for endpoint, body, digest in pinned:
+            assert config_digest(parse_request(endpoint, body).canonical()) == digest
+
+    def test_k_below_one_is_a_400(self):
+        async def main():
+            service = CoverageService()
+            await service.start()
+            try:
+                return [
+                    await post(service.port, "estimate", estimate_body(k=0)),
+                    await post(service.port, "evaluate", evaluate_body(k=0)),
+                ]
+            finally:
+                await service.stop()
+
+        for status, reply in asyncio.run(main()):
+            assert status == 400
+            assert reply["kind"] == "SchemaError"
+            assert "k must be >= 1" in reply["error"]
 
 
 class TestDescribe:
