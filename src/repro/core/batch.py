@@ -182,10 +182,11 @@ def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCover
 
     Candidates come from the fleet's cell index (built on demand and
     cached on the fleet) queried at the largest sensing radius with no
-    distance refinement — a cell-level superset, nudged up one ulp so
-    borderline float comparisons can never lose a covering pair.  Each
-    candidate pair is then evaluated by :func:`_pair_verdicts`, as in
-    the dense path, chunked to bound memory.
+    distance refinement — a cell-level superset whose ranges carry
+    their own float slack, so a borderline pair can never be lost
+    before the exact test.  Each candidate pair is then evaluated by
+    :func:`_pair_verdicts`, as in the dense path, chunked to bound
+    memory.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     m = points.shape[0]
@@ -198,9 +199,8 @@ def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCover
             directions=np.empty(0, dtype=float),
         )
     index = fleet.index if fleet.index is not None else fleet.build_index()
-    reach_radius = float(np.nextafter(fleet.max_radius, np.inf))
     with span("sparse_pairs", points=m, sensors=n):
-        indptr, sensors = index.query_radius_batch(points, reach_radius, refine=False)
+        indptr, sensors = index.query_radius_batch(points, fleet.max_radius, refine=False)
         nnz = sensors.shape[0]
         rows = np.repeat(np.arange(m, dtype=np.intp), np.diff(indptr))
         covers = np.empty(nnz, dtype=bool)

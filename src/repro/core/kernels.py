@@ -3,11 +3,12 @@
 The batch kernels in :mod:`repro.core.batch` come in two bit-identical
 flavours: the *dense* path materialises the full ``(points, sensors)``
 covering matrix, while the *sparse* path evaluates only candidate pairs
-pruned through :meth:`ToroidalCellIndex.query_radius_batch`.  Which one
-wins depends on candidate density: in the paper's regime
-(``r ~ sqrt(log n / n)``) each point sees only ``O(log n)`` sensors and
-sparse is an order of magnitude cheaper, but for small fleets or radii
-comparable to the region the dense path's simpler memory traffic wins.
+pruned through :meth:`ToroidalCellIndex.query_radius_batch`, whose
+candidates cover about twice each sensing disk.  Which one wins depends
+on candidate density: in the paper's regime (``r ~ sqrt(log n / n)``)
+each point sees only ``O(log n)`` sensors and sparse is an order of
+magnitude cheaper, but for small fleets or disks covering about a third
+of the region or more the dense path's simpler memory traffic wins.
 
 Every public kernel routes through :func:`resolve_kernel`, which picks
 the path by a density heuristic.  An explicit ``"dense"``/``"sparse"``
@@ -38,8 +39,9 @@ KERNEL_CHOICES = ("auto", "dense", "sparse")
 _SPARSE_MIN_PAIRS = 16_384
 
 #: Auto picks sparse only while a sensing disk covers at most this
-#: fraction of the region — above it most pairs are candidates anyway
-#: and the CSR bookkeeping is pure overhead.
+#: fraction of the region.  Measured, sparse still wins 1.4x at the
+#: cutoff (r ~ 0.28 on the unit torus) and crosses dense near a third
+#: of the region (DESIGN.md §8); the cutoff keeps a margin below that.
 _SPARSE_DENSITY_CUTOFF = 0.25
 
 

@@ -4,8 +4,13 @@ Coverage checks repeatedly ask "which sensors could possibly cover this
 point?" — i.e. which sensor apexes lie within the largest sensing radius
 of the point.  :class:`ToroidalCellIndex` buckets points into a uniform
 grid of cells over the region and answers radius queries by scanning
-only the cells that intersect the query disk, wrapping across the torus
-seam when the region wraps.
+only the cells the query disk can reach: on each axis, the cells from
+``⌊(x − R)/c⌋`` to ``⌊(x + R)/c⌋`` for a query coordinate ``x``, radius
+``R`` and cell side ``c``, wrapping across the torus seam when the
+region wraps.  One helper, :meth:`ToroidalCellIndex._cell_ranges`,
+computes those ranges for every query and owns the float-safety slack,
+so a caller can query at its exact radius and still never lose a point
+its own exact distance test would keep.
 
 Storage is a CSR-style cell layout built with vectorised numpy ops: the
 indexed points are argsorted by flattened cell id into ``_members``, and
@@ -14,11 +19,14 @@ same layout serves the scalar queries and the batched
 :meth:`ToroidalCellIndex.query_radius_batch`, which answers a radius
 query for *many* points at once with no per-point Python loops — the
 candidate-pruning backbone of the sparse coverage kernels in
-:mod:`repro.core.batch`.
+:mod:`repro.core.batch`.  The cell grid is capped at ``O(sqrt(n))``
+cells per side, so the index's memory is ``O(n)`` whatever cell size
+is asked for.
 
 For the sensor counts the paper studies (``n`` up to tens of thousands,
 radii of order ``sqrt(log n / n)``), this turns per-point candidate
-scans from ``O(n)`` into ``O(1)`` expected.
+scans from ``O(n)`` into ``O(1)`` expected; with cells of half the
+query radius the scanned cells cover about twice the query disk.
 """
 
 from __future__ import annotations
@@ -35,6 +43,15 @@ __all__ = ["Point", "ToroidalCellIndex"]
 
 Point = Tuple[float, float]
 
+#: Cells per side are capped at this many per ``sqrt(n)`` indexed
+#: points (plus one), so the cell table holds about four cells per point.
+_CELLS_PER_SQRT_POINT = 2
+
+#: Slack, in cells, that widens both ends of every query's cell range:
+#: far above the rounding error of a cell coordinate or a wrapped
+#: distance, far below one cell.
+_RANGE_SLACK = 1e-9
+
 
 class ToroidalCellIndex:
     """Uniform-cell spatial index over a square (toroidal) region.
@@ -46,7 +63,9 @@ class ToroidalCellIndex:
     cell_size:
         Side of each square cell.  Queries with a radius up to any value
         are supported; the cell size only affects performance.  A good
-        default is the typical query radius.
+        default is half the typical query radius.  The index never uses
+        more than ``2 * isqrt(n) + 1`` cells per side, so a smaller
+        ``cell_size`` is coarsened.
     region:
         The geometry provider (wrapping behaviour comes from it).
     """
@@ -62,8 +81,8 @@ class ToroidalCellIndex:
         self.region = region
         self._points = region.wrap_points(np.asarray(points, dtype=float).reshape(-1, 2))
         # Never more cells per side than points would justify, and at least 1.
-        max_cells = max(1, int(region.side / cell_size))
-        self._cells_per_side = max(1, min(max_cells, 4096))
+        max_cells = _CELLS_PER_SQRT_POINT * math.isqrt(len(self)) + 1
+        self._cells_per_side = max(1, int(min(region.side / cell_size, max_cells)))
         self._cell_size = region.side / self._cells_per_side
         cs = self._cells_per_side
         cx, cy = self._cell_coords(self._points)
@@ -97,21 +116,64 @@ class ToroidalCellIndex:
         cy = np.clip((points[:, 1] / self._cell_size).astype(np.intp), 0, cs - 1)
         return cx, cy
 
-    def _gather_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Concatenated member indices of ``cells`` (flattened cell ids)."""
+    def _cell_ranges(self, points: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-point, per-axis cell ranges reaching ``radius``.
+
+        Returns ``(first, width)``, both ``(m, 2)``: on each axis, cells
+        ``first + k`` for ``0 <= k < width``, modulo the grid, hold
+        every member whose coordinate lies within ``radius`` of the
+        point's.  The range runs from ``⌊(x − R)/c⌋`` to ``⌊(x + R)/c⌋``,
+        each end widened by ``_RANGE_SLACK`` cells — the only
+        float-safety slack on the query path.  On a torus a range of a
+        whole turn or more is the whole axis.  On a bounded square both
+        ends are clipped into the grid exactly as :meth:`_cell_coords`
+        clips members, so a member bucketed into an edge cell from
+        outside the square stays reachable.
+        """
+        cs = self._cells_per_side
+        if self.region.torus:
+            # Beyond one side the range already spans every cell.
+            radius = min(radius, self.region.side)
+        low = (points - radius) / self._cell_size - _RANGE_SLACK
+        high = (points + radius) / self._cell_size + _RANGE_SLACK
+        if not self.region.torus:
+            low = np.clip(low, 0, cs - 1)
+            high = np.clip(high, 0, cs - 1)
+        first = np.floor(low).astype(np.intp)
+        width = np.minimum(np.floor(high).astype(np.intp) - first + 1, cs)
+        return first, width
+
+    def _candidates(self, points: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Members of the cells each query disk can reach.
+
+        ``points`` are wrapped query points.  Returns the candidate
+        count per point and the concatenated member ids, point by point
+        in cell order; within one point they are distinct, because the
+        wrapped cells of a range of at most ``cs`` cells are.
+        """
+        m = points.shape[0]
+        cs = self._cells_per_side
+        first, width = self._cell_ranges(points, radius)
+        k = np.arange(int(width.max()), dtype=np.intp)
+        axis_cells = (first[:, :, None] + k) % cs
+        inside = k < width[:, :, None]
+        # (m, k, k) flattened cell ids of each point's range block.
+        cells = (axis_cells[:, 0, :, None] * cs + axis_cells[:, 1, None, :]).reshape(m, -1)
+        valid = (inside[:, 0, :, None] & inside[:, 1, None, :]).reshape(m, -1)
         starts = self._cell_starts[cells]
-        lengths = self._cell_starts[cells + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.intp)
-        ends = np.cumsum(lengths)
+        lengths = np.where(valid, self._cell_starts[cells + 1] - starts, 0)
+        flat_starts = starts.ravel()
+        flat_lengths = lengths.ravel()
+        ends = np.cumsum(flat_lengths)
         # Position j of the output reads _members at
         # starts[cell of j] + (j - begin of that cell's output slice).
-        take = np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - lengths), lengths)
-        return self._members[take]
+        take = np.arange(int(ends[-1]), dtype=np.intp) + np.repeat(
+            flat_starts - (ends - flat_lengths), flat_lengths
+        )
+        return lengths.sum(axis=1), self._members[take]
 
     def candidates_within(self, point: Point, radius: float) -> np.ndarray:
-        """Indices of points whose cell intersects the query disk.
+        """Indices of points whose cell the query disk can reach.
 
         This is a superset of the points within ``radius`` — callers
         refine with an exact distance test (see :meth:`query`).  The
@@ -119,25 +181,8 @@ class ToroidalCellIndex:
         """
         if radius < 0:
             raise InvalidParameterError(f"radius must be non-negative, got {radius!r}")
-        px, py = self.region.wrap_point(point)
-        reach = int(math.ceil(radius / self._cell_size))
-        cs = self._cells_per_side
-        if 2 * reach + 1 >= cs:
-            # Query disk spans the whole region: return everything.
-            return np.arange(len(self), dtype=np.intp)
-        probe = np.array([[px, py]], dtype=float)
-        cx, cy = self._cell_coords(probe)
-        offsets = np.arange(-reach, reach + 1, dtype=np.intp)
-        xs = cx[0] + offsets
-        ys = cy[0] + offsets
-        if self.region.torus:
-            xs %= cs
-            ys %= cs
-        else:
-            xs = xs[(xs >= 0) & (xs < cs)]
-            ys = ys[(ys >= 0) & (ys < cs)]
-        cells = (xs[:, None] * cs + ys[None, :]).ravel()
-        found = self._gather_cells(cells)
+        probe = np.array([self.region.wrap_point(point)], dtype=float)
+        _, found = self._candidates(probe, radius)
         found.sort()
         return found
 
@@ -192,44 +237,7 @@ class ToroidalCellIndex:
         n = len(self)
         if m == 0 or n == 0:
             return np.zeros(m + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
-        cs = self._cells_per_side
-        reach = int(math.ceil(radius / self._cell_size))
-        if 2 * reach + 1 >= cs:
-            # Every query disk spans the whole region: all pairs are
-            # candidates (the sensors-cover-the-torus regime).
-            per_point = np.full(m, n, dtype=np.intp)
-            cand = np.tile(np.arange(n, dtype=np.intp), m)
-        else:
-            pcx, pcy = self._cell_coords(pts)
-            offsets = np.arange(-reach, reach + 1, dtype=np.intp)
-            xs = pcx[:, None] + offsets[None, :]
-            ys = pcy[:, None] + offsets[None, :]
-            if self.region.torus:
-                xs %= cs
-                ys %= cs
-                valid = np.ones((m, offsets.size, offsets.size), dtype=bool)
-            else:
-                valid_x = (xs >= 0) & (xs < cs)
-                valid_y = (ys >= 0) & (ys < cs)
-                valid = valid_x[:, :, None] & valid_y[:, None, :]
-                xs = np.clip(xs, 0, cs - 1)
-                ys = np.clip(ys, 0, cs - 1)
-            # (m, k, k) flattened cell ids for each point's reach block;
-            # with 2*reach+1 < cs the wrapped cells of one block are
-            # distinct, so no deduplication is needed.
-            cells = (xs[:, :, None] * cs + ys[:, None, :]).reshape(m, -1)
-            valid = valid.reshape(m, -1)
-            starts = self._cell_starts[cells]
-            lengths = np.where(valid, self._cell_starts[cells + 1] - starts, 0)
-            per_point = lengths.sum(axis=1).astype(np.intp)
-            flat_lengths = lengths.ravel()
-            flat_starts = starts.ravel()
-            total = int(flat_lengths.sum())
-            ends = np.cumsum(flat_lengths)
-            take = np.arange(total, dtype=np.intp) + np.repeat(
-                flat_starts - (ends - flat_lengths), flat_lengths
-            )
-            cand = self._members[take]
+        per_point, cand = self._candidates(pts, radius)
         rows = np.repeat(np.arange(m, dtype=np.intp), per_point)
         if refine:
             delta = self._points[cand] - pts[rows]
@@ -240,8 +248,13 @@ class ToroidalCellIndex:
             keep = np.hypot(delta[:, 0], delta[:, 1]) <= radius
             cand = cand[keep]
             rows = rows[keep]
-        order = np.lexsort((cand, rows))
-        cand = cand[order]
+        # One sort of the key row * n + id orders every row's ids.  Rows
+        # already ascend, so each key stays inside its row's slice, and
+        # the keys are distinct, so any sort kind gives the same order.
+        offsets = rows * n
+        keys = offsets + cand
+        keys.sort()
+        cand = keys - offsets
         counts = np.bincount(rows, minlength=m)
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(counts, out=indptr[1:])

@@ -251,12 +251,12 @@ class SensorFleet:
     def build_index(self, cell_size: Optional[float] = None) -> ToroidalCellIndex:
         """Build (and cache) a spatial index over sensor positions.
 
-        The default cell size is the maximum sensing radius, so a single
-        3x3 cell neighbourhood contains every sensor that can reach the
-        query point.
+        The default cell size is half the maximum sensing radius: a
+        query at that radius then scans about 5x5 cells, about twice
+        the sensing disk's area.
         """
         if cell_size is None:
-            cell_size = self._max_radius if self._max_radius > 0 else self.region.side
+            cell_size = 0.5 * self._max_radius if self._max_radius > 0 else self.region.side
         self._index = ToroidalCellIndex(self._positions, cell_size, self.region)
         return self._index
 

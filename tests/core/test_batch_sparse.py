@@ -129,6 +129,20 @@ class TestSparseCoveringPairs:
         sp = sparse_covering_pairs(fleet, np.empty((0, 2)))
         assert sp.num_points == 0
 
+    @pytest.mark.parametrize(
+        "radius", [math.sqrt(math.log(2000) / 2000), 0.1, 0.2, 0.25]
+    )
+    def test_candidate_budget(self, radius):
+        # Candidates must hug the sensing disk, including at radii that
+        # divide the unit side exactly: at most three disks' worth of
+        # sensors per point on average.
+        n = 2000
+        fleet = make_fleet(n, seed=0, radius=radius, mix=False)
+        points = np.random.default_rng(1).uniform(size=(256, 2))
+        sp = sparse_covering_pairs(fleet, points)
+        per_point = sp.sensors.shape[0] / sp.num_points
+        assert per_point <= 3 * math.pi * radius**2 * n
+
 
 class TestBitIdentity:
     @pytest.mark.parametrize("n,seed,radius", [

@@ -11,6 +11,8 @@ from repro.geometry.spatial import ToroidalCellIndex
 from repro.geometry.torus import UNIT_SQUARE, UNIT_TORUS
 
 coords = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
+#: Coordinates that may fall outside the unit square.
+wide = st.floats(min_value=-0.3, max_value=1.3, allow_nan=False)
 
 
 def brute_force_query(points, probe, radius, region):
@@ -35,6 +37,18 @@ class TestConstruction:
     def test_points_wrapped(self):
         idx = ToroidalCellIndex(np.array([[1.3, -0.2]]), 0.1)
         assert np.allclose(idx.points, [[0.3, 0.8]])
+
+    @pytest.mark.parametrize("region", [UNIT_TORUS, UNIT_SQUARE])
+    def test_cell_count_bounded_by_point_count(self, rng, region):
+        # A tiny cell size must not buy a cell table far larger than
+        # the point set: 10 points get tens of cells, not (1 / 1e-4)**2.
+        points = rng.uniform(size=(10, 2))
+        idx = ToroidalCellIndex(points, cell_size=1e-4, region=region)
+        assert idx._cells_per_side**2 <= 100
+        for probe in [(0.5, 0.5), (0.01, 0.99), (0.0, 0.0)]:
+            for radius in (1e-4, 0.05, 0.3):
+                expected = brute_force_query(points, probe, radius, region)
+                assert set(idx.query(probe, radius).tolist()) == expected
 
 
 class TestQuery:
@@ -182,6 +196,99 @@ class TestQueryRadiusBatch:
         indptr, indices = idx.query_radius_batch(np.array(probes), radius)
         for i, row in enumerate(self._rows(indptr, indices)):
             assert set(row) == brute_force_query(points, probes[i], radius, UNIT_TORUS)
+
+
+def within_squared(points, probe, radius, region):
+    """Ids passing the kernels' exact test: ``dist² <= r²`` under
+    ``Region.displacements`` of the raw coordinates."""
+    delta = region.displacements(probe, points)
+    return set(np.flatnonzero(delta[:, 0] ** 2 + delta[:, 1] ** 2 <= radius**2).tolist())
+
+
+def assert_superset(points, probes, radius, cell, region):
+    """Unrefined batch rows hold every exact pair and equal the scalar rows."""
+    points = np.asarray(points, dtype=float)
+    probes = np.asarray(probes, dtype=float)
+    idx = ToroidalCellIndex(points, cell_size=cell, region=region)
+    indptr, indices = idx.query_radius_batch(probes, radius, refine=False)
+    for i, probe in enumerate(map(tuple, probes)):
+        row = indices[indptr[i] : indptr[i + 1]].tolist()
+        missing = within_squared(points, probe, radius, region) - set(row)
+        assert not missing, (probe, radius, cell, points[sorted(missing)])
+        assert row == idx.candidates_within(probe, radius).tolist()
+
+
+def lattice(step):
+    """Coordinates ``k * step``, from a little below 0 to past 1."""
+    return np.arange(-2, round(1 / step) + 3) * step
+
+
+class TestSupersetAdversarial:
+    """The unrefined rows are a superset of every pair the sparse kernels'
+    exact ``dist² <= r²`` test keeps, where float rounding bites."""
+
+    @pytest.mark.parametrize("region", [UNIT_TORUS, UNIT_SQUARE])
+    @pytest.mark.parametrize("cell", [0.05, 0.1, 0.125, 0.2, 1 / 3])
+    def test_points_on_cell_boundaries(self, region, cell):
+        xs = lattice(cell)
+        points = np.array([(x, y) for x in xs for y in xs])
+        probes = np.array([(x, y) for x in xs for y in xs[::3]])
+        for radius in (cell, 2 * cell, 0.1, 0.25):
+            assert_superset(points, probes, radius, cell, region)
+
+    @pytest.mark.parametrize("region", [UNIT_TORUS, UNIT_SQUARE])
+    @pytest.mark.parametrize("radius", [0.05, 0.1, 0.2, 0.25])
+    def test_points_at_exactly_r_along_an_axis(self, region, radius):
+        # Sensors at probe ± r on each axis, unwrapped and wrapped, with
+        # probes on, near and across the seam.
+        for px in (0.0, 0.02, 0.05, 0.3, 0.5, 0.75, 0.95, 0.98, 0.999):
+            points = []
+            for x in (px + radius, px - radius):
+                points += [(x, 0.5), (x % 1.0, 0.5), (0.5, x), (0.5, x % 1.0)]
+            probes = [(px, 0.5), (0.5, px)]
+            for cell in (radius, radius / 2, 0.05, 0.1):
+                assert_superset(points, probes, radius, cell, region)
+
+    @pytest.mark.parametrize("radius", [0.1, 0.2, 0.25])
+    @pytest.mark.parametrize("cell", [0.05, 0.1, 0.125, 0.25])
+    def test_radius_exact_multiple_of_cell_on_torus(self, rng, radius, cell):
+        points = np.vstack([rng.uniform(size=(300, 2)), lattice(0.05)[:, None].repeat(2, 1)])
+        probes = np.vstack([rng.uniform(size=(40, 2)), lattice(0.05)[:, None].repeat(2, 1)])
+        assert_superset(points, probes, radius, cell, UNIT_TORUS)
+
+    def test_sensor_outside_bounded_square(self):
+        # The sensor is bucketed into the last cell by clipping; a probe
+        # range that does not clip the same way would skip that cell.
+        assert_superset([(1.05, 0.5)], [(1.14, 0.5)], 0.1, 0.05, UNIT_SQUARE)
+        assert_superset([(0.5, 1.05)], [(0.5, 1.14)], 0.1, 0.05, UNIT_SQUARE)
+        assert_superset([(-0.05, -0.05)], [(-0.12, -0.1)], 0.1, 0.05, UNIT_SQUARE)
+
+    @given(
+        st.lists(st.tuples(st.integers(-6, 26), st.integers(-6, 26)), min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(-6, 26), st.integers(-6, 26)), min_size=1, max_size=8),
+        st.integers(1, 8),
+        st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lattice_property(self, pts, probes, steps, cell, torus):
+        # Coordinates and radii on a 0.05 lattice put points on cell
+        # boundaries and at distance exactly r, inside and outside the
+        # square.
+        region = UNIT_TORUS if torus else UNIT_SQUARE
+        assert_superset(
+            np.array(pts) * 0.05, np.array(probes) * 0.05, steps * 0.05, cell, region
+        )
+
+    @given(
+        st.lists(st.tuples(wide, wide), min_size=1, max_size=40),
+        st.lists(st.tuples(wide, wide), min_size=1, max_size=8),
+        st.floats(min_value=0.0, max_value=0.6),
+        st.floats(min_value=0.02, max_value=0.3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bounded_square_property(self, pts, probes, radius, cell):
+        assert_superset(pts, probes, radius, cell, UNIT_SQUARE)
 
 
 class TestNearest:
