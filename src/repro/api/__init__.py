@@ -14,10 +14,11 @@ need, with keyword-only arguments and defaults matching the paper:
   --out`` wrote.
 
 Two supporting pieces round out the facade: :func:`config_digest`
-(re-exported from :mod:`repro.api.digest`) is the one canonical
-configuration hash shared by the coverage service cache, the run
-ledger and checkpoint stamps; and :mod:`repro.api.schemas` defines the
-``fullview-api-v1`` wire bodies the coverage service speaks.
+(with :func:`canonical_payload`, re-exported from :mod:`repro.ioutil`)
+is the one canonical configuration hash shared by the coverage service
+cache, the run ledger and checkpoint stamps; and
+:mod:`repro.api.schemas` defines the ``fullview-api-v1`` wire bodies
+the coverage service speaks.
 
 Everything here re-exports blessed machinery from the deep modules —
 no new behaviour, just a stable spelling.  Deep imports keep working;
@@ -61,7 +62,7 @@ from repro.simulation.montecarlo import (
 from repro.simulation.results import ResultTable
 
 from repro.api import schemas
-from repro.api.digest import canonical_payload, config_digest
+from repro.ioutil import canonical_payload, config_digest
 
 __all__ = [
     "GridEvaluation",

@@ -1,10 +1,11 @@
-"""The ``fullview-api-v1`` wire schema: typed request/response bodies.
+"""The ``fullview-api-v1`` wire schema: typed request and error bodies.
 
 The coverage service (:mod:`repro.service`) and any future client
-speak JSON over HTTP; this module is the single place that JSON's
-shape is defined.  Each body is a frozen keyword-only dataclass whose
-fields mirror the :mod:`repro.api` facade signatures (``deploy`` /
-``evaluate_grid`` / ``estimate``), with:
+speak JSON over HTTP; this module is the single place the request
+shapes are defined.  Each request body is a frozen keyword-only
+dataclass whose fields mirror the :mod:`repro.api` facade signatures
+(``deploy`` / ``evaluate_grid`` / ``estimate``); every failure answers
+with one :class:`ErrorBody`.  Bodies provide:
 
 - :meth:`WireBody.from_wire` — strict parsing: unknown fields reject,
   missing required fields reject, types are checked (bools never pass
@@ -36,12 +37,9 @@ from repro.ioutil import canonical_payload
 __all__ = [
     "API_SCHEMA",
     "DeployRequest",
-    "DeployResult",
     "ErrorBody",
     "EstimateRequest",
-    "EstimateResult",
     "EvaluateRequest",
-    "EvaluateResult",
     "REQUEST_TYPES",
     "WireBody",
     "describe_schema",
@@ -99,7 +97,7 @@ def _coerce(owner: str, name: str, kind: str, value: Any) -> Any:
 class WireBody:
     """Base for every v1 wire body: strict parse, exact serialize."""
 
-    #: The service route this body belongs to ("" for result bodies).
+    #: The service route this body belongs to ("" for error bodies).
     ENDPOINT: ClassVar[str] = ""
 
     @classmethod
@@ -270,38 +268,6 @@ class EstimateRequest(WireBody):
             "condition": self.kind == "condition_chain",
         }
         return tuple(name for name, unread in ignored.items() if unread)
-
-
-@dataclass(frozen=True, kw_only=True)
-class DeployResult(WireBody):
-    """Body of a deploy response: the deployed fleet, column-wise."""
-
-    n: int = _wire("int")
-    seed: int = _wire("int")
-    positions: Any = _wire("point?", default=None)
-    orientations: Any = _wire("point?", default=None)
-    radii: Any = _wire("point?", default=None)
-    angles_of_view: Any = _wire("point?", default=None)
-
-
-@dataclass(frozen=True, kw_only=True)
-class EvaluateResult(WireBody):
-    """Body of an evaluate response: verdict counts over the grid."""
-
-    fraction: float = _wire("float")
-    num_covered: int = _wire("int")
-    num_points: int = _wire("int")
-    theta: float = _wire("float")
-    condition: str = _wire("str")
-
-
-@dataclass(frozen=True, kw_only=True)
-class EstimateResult(WireBody):
-    """Body of an estimate response: the estimator-specific numbers."""
-
-    kind: str = _wire("str")
-    trials: int = _wire("int")
-    estimate: Any = _wire("point?", default=None)
 
 
 @dataclass(frozen=True, kw_only=True)

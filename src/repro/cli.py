@@ -67,27 +67,31 @@ _RUN_CHECKPOINT_FORMAT = "fullview-run-checkpoint-v1"
 
 
 def _load_run_checkpoint(path: Path, seed: int, full: bool) -> dict:
-    import json
-
     from repro.errors import CheckpointError
+    from repro.simulation.runner import parse_checkpoint
 
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"cannot read run checkpoint {path}: {exc}") from exc
-    if payload.get("format") != _RUN_CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path} is not a {_RUN_CHECKPOINT_FORMAT} checkpoint")
+    payload = parse_checkpoint(path, _RUN_CHECKPOINT_FORMAT)
     if payload.get("seed") != seed or payload.get("full") != full:
         raise CheckpointError(
             f"run checkpoint {path} was written for seed={payload.get('seed')}, "
             f"full={payload.get('full')}; rerun with matching flags or start fresh"
         )
-    return payload.get("completed", {})
+    completed = payload.get("completed", {})
+    if not isinstance(completed, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("passed"), bool)
+        for entry in completed.values()
+    ):
+        raise CheckpointError(
+            f"run checkpoint {path} is malformed: 'completed' must map each "
+            'experiment id to {"passed": true|false}'
+        )
+    return completed
 
 
 def _save_run_checkpoint(path: Path, seed: int, full: bool, completed: dict) -> None:
-    from repro.ioutil import write_json_atomic
-    from repro.obs.events import CheckpointWritten, active_event_log
+    from repro.ioutil import stamp_checksum, write_json_atomic
+    from repro.obs import emit
+    from repro.obs.events import CheckpointWritten
 
     payload = {
         "format": _RUN_CHECKPOINT_FORMAT,
@@ -98,12 +102,8 @@ def _save_run_checkpoint(path: Path, seed: int, full: bool, completed: dict) -> 
     }
     # Durable atomic write: fsynced before the rename so a crash can
     # never publish a torn run checkpoint.
-    write_json_atomic(path, payload)
-    log = active_event_log()
-    if log is not None:
-        log.emit(
-            CheckpointWritten(path=str(path), checkpoint_kind="run", next_trial=len(completed))
-        )
+    write_json_atomic(path, stamp_checksum(payload))
+    emit(CheckpointWritten(path=str(path), checkpoint_kind="run", next_trial=len(completed)))
 
 
 def _obs_context(args: argparse.Namespace, command: str):

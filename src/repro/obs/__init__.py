@@ -9,21 +9,26 @@ disabled:
 - :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with a durable atomic JSON snapshot exporter;
 - :mod:`repro.obs.events` — typed lifecycle events appended to a JSONL
-  sink with sequence numbers and monotonic timestamps;
+  sink with sequence numbers and monotonic timestamps, and
+  :data:`~repro.obs.events.TALLIES`, the one table of which counter,
+  progress tally and report field each fault/lifecycle event feeds;
 - :mod:`repro.obs.report` — a run-report builder (trials/sec, wall vs.
   CPU, worker utilization, fallback counts, slowest trials) over the
   trace file.
 
-PR 9 adds the live layer on top of the same substrate:
+The live layer sits on the same substrate:
 
 - :mod:`repro.obs.progress` — a thread-safe progress tracker fed
-  parent-side by the executors, emitting throttled ``RunProgress``
-  heartbeats and an atomically-replaced live status file;
+  parent-side by the engine's sweep bracket, emitting throttled
+  ``RunProgress`` heartbeats and an atomically-replaced live status
+  file;
 - :mod:`repro.obs.ledger` — a persistent append-only run ledger
   (one ``fullview-ledger-v1`` row per observed run);
 - :mod:`repro.obs.export` — Chrome-trace / flamegraph / Prometheus
   exporters over recorded artifacts.
 
+:func:`emit` is how the engine records a lifecycle moment: once, at its
+call site, and the table decides what else it feeds.
 :class:`ObsContext` (usually via :func:`observe`) bundles the
 collectors, installs them as the process-wide actives, and on exit
 writes the trace JSONL (manifest first, then events as they happened,
@@ -42,17 +47,19 @@ from typing import IO, Any, Dict, Mapping, Optional, Union
 
 from repro._version import __version__
 from repro.errors import ObservabilityError
-from repro.obs.events import EventLog, event_scope, set_event_log
-from repro.obs.ledger import (
-    LEDGER_FORMAT,
-    append_run,
-    git_sha,
-    new_run_id,
+from repro.obs.events import (
+    TALLIES,
+    EventLog,
+    active_event_log,
+    event_scope,
+    set_event_log,
 )
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.ledger import append_run, build_row, git_sha, new_run_id
+from repro.obs.metrics import MetricsRegistry, active_metrics, set_metrics
 from repro.obs.progress import (
     DEFAULT_HEARTBEAT_SECONDS,
     ProgressTracker,
+    active_progress,
     set_progress,
 )
 from repro.obs.report import TRACE_FORMAT
@@ -61,12 +68,35 @@ from repro.ioutil import config_digest
 
 __all__ = [
     "ObsContext",
+    "emit",
     "obs_self_check",
     "observe",
 ]
 
 #: Span iterations used by the self-check's overhead estimate.
 _SELF_CHECK_SPANS = 20_000
+
+
+def emit(event: Any) -> None:
+    """Record one engine moment in every active view.
+
+    Bumps the metrics counter and the progress tally that
+    :data:`~repro.obs.events.TALLIES` names for the event's type, then
+    appends the event's JSONL line.  Each view is skipped when it has
+    no active sink, so with telemetry off this costs a table lookup and
+    at most three global reads.
+    """
+    tally = TALLIES.get(type(event))
+    if tally is not None:
+        metrics = active_metrics()
+        if metrics is not None and tally.counter is not None:
+            metrics.inc(tally.counter)
+        progress = active_progress()
+        if progress is not None and tally.progress is not None:
+            progress.note(tally.progress)
+    log = active_event_log()
+    if log is not None:
+        log.emit(event)
 
 
 class ObsContext:
@@ -203,30 +233,22 @@ class ObsContext:
         wall_seconds = 0.0
         if self._started_perf_ns is not None:
             wall_seconds = (time.perf_counter_ns() - self._started_perf_ns) / 1e9
-        completed = int(counters.get("trials_completed", 0))
         seed = self.meta.get("seed")
-        return {
-            "format": LEDGER_FORMAT,
-            "run_id": self.run_id,
-            "experiment": str(self.meta.get("experiment", self.meta.get("command", "?"))),
-            "config_digest": config_digest(self.meta),
-            "seed": int(seed) if seed is not None else None,
-            "git_sha": git_sha(),
-            "executor": executor,
-            "workers": workers,
-            "wall_seconds": wall_seconds,
-            "trials_per_sec": completed / wall_seconds if wall_seconds > 0 else 0.0,
-            "trials_completed": completed,
-            "trials_failed": int(counters.get("trials_failed", 0)),
-            "outcome": "ok" if exc_type is None else "error",
-            "retries": int(counters.get("chunk_retries", 0)),
-            "respawns": int(counters.get("pool_respawns", 0)),
-            "quarantined": int(counters.get("trials_quarantined", 0)),
-            "checkpoints_recovered": int(counters.get("checkpoint_recoveries", 0)),
-            "trace_path": str(self.trace_path) if self.trace_path else None,
-            "metrics_path": str(self.metrics_path) if self.metrics_path else None,
-            "started_unix": self._started_unix if self._started_unix else 0.0,
-        }
+        return build_row(
+            run_id=self.run_id,
+            experiment=str(self.meta.get("experiment", self.meta.get("command", "?"))),
+            config_digest=config_digest(self.meta),
+            seed=int(seed) if seed is not None else None,
+            git_sha=git_sha(),
+            executor=executor,
+            workers=workers,
+            wall_seconds=wall_seconds,
+            outcome="ok" if exc_type is None else "error",
+            started_unix=self._started_unix if self._started_unix else 0.0,
+            counters=counters,
+            trace_path=str(self.trace_path) if self.trace_path else None,
+            metrics_path=str(self.metrics_path) if self.metrics_path else None,
+        )
 
     def _write_trace_tail(self) -> None:
         assert self.recorder is not None and self._trace_file is not None

@@ -1,13 +1,19 @@
-"""Typed lifecycle events appended to a JSONL sink.
+"""Typed lifecycle events, the table of what each one feeds, and a JSONL sink.
 
 Each event is a small frozen dataclass naming one engine lifecycle
 moment — a sweep starting, a chunk going out to the pool, a chunk
 falling back in-process, a checkpoint hitting disk, a lifetime epoch
-advancing, a sweep finishing.  The :class:`EventLog` serializes each as
-one JSON line tagged ``{"kind": "event"}`` with a strictly increasing
-sequence number and a monotonic ``t_ns`` timestamp
-(:func:`time.perf_counter_ns`), so a trace file totally orders what
-happened even when wall clocks step.
+advancing, a sweep finishing.  :data:`TALLIES` maps every fault and
+lifecycle event to the metrics counter, the progress tally and the
+:class:`~repro.obs.report.RunReport` field it feeds; call sites record
+a moment once through :func:`repro.obs.emit`, which applies the table
+and appends the line, and :func:`~repro.obs.report.build_report` counts
+trace lines through the same table, so the four views cannot drift.
+
+The :class:`EventLog` serializes each event as one JSON line tagged
+``{"kind": "event"}`` with a strictly increasing sequence number and a
+monotonic ``t_ns`` timestamp (:func:`time.perf_counter_ns`), so a trace
+file totally orders what happened even when wall clocks step.
 
 Events are emitted **only in the parent process**: worker processes
 start with no active log, so instrumentation inside trial tasks is
@@ -22,7 +28,7 @@ import json
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import IO, Optional, Union
+from typing import IO, Dict, NamedTuple, Optional, Union
 
 from repro.errors import ObservabilityError
 
@@ -38,6 +44,8 @@ __all__ = [
     "RunFinished",
     "RunProgress",
     "RunStarted",
+    "TALLIES",
+    "Tally",
     "TrialQuarantined",
     "active_event_log",
     "event_scope",
@@ -45,7 +53,7 @@ __all__ = [
 ]
 
 #: The process-wide active event log (``None`` — the default — disables
-#: event emission; call sites guard on :func:`active_event_log`).
+#: event emission; :func:`repro.obs.emit` guards on it).
 _ACTIVE: Optional["EventLog"] = None
 
 
@@ -179,6 +187,33 @@ class RunFinished:
     wall_ns: int
     cpu_ns: int
     source: str = "engine"
+
+
+class Tally(NamedTuple):
+    """What one lifecycle event feeds besides its JSONL line."""
+
+    #: Metrics counter bumped by one (``None``: no counter).
+    counter: Optional[str]
+    #: :class:`~repro.obs.progress.ProgressTracker` tally bumped by one
+    #: (``None``: not tallied).
+    progress: Optional[str]
+    #: :class:`~repro.obs.report.RunReport` field that counts the lines.
+    report: str
+
+
+#: The one table of what each fault/lifecycle event feeds.  The sweep
+#: bracket events (``RunStarted``/``RunFinished``) and the heartbeats
+#: (``RunProgress``) carry their own payloads and are not tallied.
+TALLIES: Dict[type, Tally] = {
+    ChunkDispatched: Tally("chunks_dispatched", None, "chunks_dispatched"),
+    ChunkRetried: Tally("chunk_retries", "retries", "chunks_retried"),
+    PoolRespawned: Tally("pool_respawns", "respawns", "pools_respawned"),
+    TrialQuarantined: Tally("trials_quarantined", "quarantined", "trials_quarantined"),
+    ChunkFellBack: Tally("chunk_fallbacks", "fallbacks", "chunk_fallbacks"),
+    CheckpointWritten: Tally("checkpoint_writes", None, "checkpoints_written"),
+    CheckpointRecovered: Tally("checkpoint_recoveries", None, "checkpoints_recovered"),
+    EpochAdvanced: Tally(None, "epochs", "epochs_advanced"),
+}
 
 
 class EventLog:

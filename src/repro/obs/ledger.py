@@ -5,10 +5,13 @@ answers "which runs happened at all": one JSONL row per observed run —
 id, experiment, config digest, seed, git sha, executor and worker
 count, wall time, throughput, outcome, fault-handling totals and the
 paths of the run's trace/metrics artifacts — appended when the owning
-:class:`~repro.obs.ObsContext` closes.  Rows go out through
-:func:`repro.ioutil.append_jsonl_line` (single fsynced ``O_APPEND``
-write), so concurrent runs can grow the same ledger without tearing a
-line, and a crash mid-run simply records nothing.
+:class:`~repro.obs.ObsContext` closes, or per computed request by the
+coverage service.  Both build their rows with :func:`build_row`, which
+reads the trial and fault columns off a metrics snapshot's counters.
+Rows go out through :func:`repro.ioutil.append_jsonl_line` (single
+fsynced ``O_APPEND`` write), so concurrent runs can grow the same
+ledger without tearing a line, and a crash mid-run simply records
+nothing.
 
 The default ledger lives at ``~/.fullview/runs.jsonl``; ``--ledger
 PATH`` on the CLI or the ``FULLVIEW_LEDGER`` environment variable
@@ -25,12 +28,13 @@ import os
 import subprocess
 import uuid
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "LEDGER_ENV_VAR",
     "LEDGER_FORMAT",
     "append_run",
+    "build_row",
     "default_ledger_path",
     "git_sha",
     "load_runs",
@@ -106,6 +110,53 @@ def git_sha() -> Optional[str]:
         return None
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
+
+
+def build_row(
+    *,
+    run_id: str,
+    experiment: str,
+    config_digest: Optional[str],
+    seed: Optional[int],
+    git_sha: Optional[str],
+    executor: str,
+    workers: int,
+    wall_seconds: float,
+    outcome: str,
+    started_unix: float,
+    counters: Mapping[str, Any],
+    trace_path: Optional[str] = None,
+    metrics_path: Optional[str] = None,
+) -> Dict[str, Any]:
+    """One v1 ledger row.
+
+    The trial and fault columns are the totals of the metrics
+    ``counters`` that feed them (a missing counter counts 0), and
+    ``trials_per_sec`` is completed trials over ``wall_seconds``.
+    """
+    completed = int(counters.get("trials_completed", 0))
+    return {
+        "format": LEDGER_FORMAT,
+        "run_id": run_id,
+        "experiment": experiment,
+        "config_digest": config_digest,
+        "seed": seed,
+        "git_sha": git_sha,
+        "executor": executor,
+        "workers": workers,
+        "wall_seconds": wall_seconds,
+        "trials_per_sec": completed / wall_seconds if wall_seconds > 0 else 0.0,
+        "trials_completed": completed,
+        "trials_failed": int(counters.get("trials_failed", 0)),
+        "outcome": outcome,
+        "retries": int(counters.get("chunk_retries", 0)),
+        "respawns": int(counters.get("pool_respawns", 0)),
+        "quarantined": int(counters.get("trials_quarantined", 0)),
+        "checkpoints_recovered": int(counters.get("checkpoint_recoveries", 0)),
+        "trace_path": trace_path,
+        "metrics_path": metrics_path,
+        "started_unix": started_unix,
+    }
 
 
 def validate_row(row: Any) -> Optional[str]:

@@ -5,10 +5,16 @@ instrument kinds:
 
 - **counters** — monotone integer totals (``trials_completed``,
   ``chunk_fallbacks``, ``checkpoint_writes``, ``pool_warmups``);
-- **gauges** — last-written floats (``workers``);
+- **gauges** — last-written floats (``executor_workers``);
 - **histograms** — fixed-bucket distributions (``trial_seconds``),
   with an overflow bucket plus count/total/min/max, so per-trial wall
   times summarize without storing every observation.
+
+The fault and lifecycle counters (``chunk_retries``,
+``checkpoint_writes`` ...) are not bumped by their call sites: those
+call :func:`repro.obs.emit`, and :data:`~repro.obs.events.TALLIES`
+names the counter each event feeds.  The trial counters are bumped by
+the engine's sweep bracket, net of trials resumed from a checkpoint.
 
 Like tracing, metrics are **off by default**: the process-wide active
 registry is ``None`` and instrumented call sites guard on

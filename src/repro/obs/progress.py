@@ -3,8 +3,12 @@
 The rest of :mod:`repro.obs` is a flight recorder — spans, events and
 metrics are written as they happen but only *consumable* after the run.
 This module is the cockpit view: a thread-safe :class:`ProgressTracker`
-fed by the executors **parent-side** (on every yielded batch, so no new
-state ever crosses the worker seam) that emits throttled
+fed **parent-side** by the engine's shared sweep bracket (``begin`` at
+sweep start, ``advance`` on every batch the sweep loop takes, ``finish``
+at the end; :mod:`repro.simulation.engine`) and by
+:func:`repro.obs.emit`, which bumps the fault/lifecycle tallies named
+in :data:`~repro.obs.events.TALLIES`.  No new state ever crosses the
+worker seam.  The tracker emits throttled
 :class:`~repro.obs.events.RunProgress` heartbeat events into the trace
 JSONL and, optionally, keeps a small live *status file* up to date via
 atomic replacement — the file ``fullview watch`` tails.
@@ -19,8 +23,8 @@ across sweeps under one tracker, so ``done`` is monotone over a whole
 multi-experiment command.
 
 Like tracing, metrics and events, progress is **off by default**: the
-process-wide active tracker is ``None``, instrumented call sites guard
-on :func:`active_progress`, and the disabled cost is one global read.
+process-wide active tracker is ``None``, its feeders guard on
+:func:`active_progress`, and the disabled cost is one global read.
 Nothing here touches random state — progress-tracked and untracked
 runs are bit-identical (pinned in ``tests/obs/test_identity.py``).
 """
@@ -35,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import InvalidParameterError
-from repro.obs.events import RunProgress, active_event_log
+from repro.obs.events import TALLIES, RunProgress, active_event_log
 
 __all__ = [
     "DEFAULT_HEARTBEAT_SECONDS",
@@ -53,8 +57,11 @@ STATUS_FORMAT = "fullview-status-v1"
 #: Default minimum spacing between heartbeats (seconds).
 DEFAULT_HEARTBEAT_SECONDS = 0.5
 
-#: Fault/lifecycle tallies a tracker accumulates via :meth:`ProgressTracker.note`.
-NOTE_KINDS = ("retries", "respawns", "quarantined", "fallbacks", "epochs")
+#: Fault/lifecycle tallies a tracker accumulates via :meth:`ProgressTracker.note`
+#: — the progress column of :data:`~repro.obs.events.TALLIES`, in table order.
+NOTE_KINDS = tuple(
+    tally.progress for tally in TALLIES.values() if tally.progress is not None
+)
 
 #: EWMA smoothing factor for the instantaneous trials/sec estimate.
 _EWMA_ALPHA = 0.3
@@ -67,7 +74,7 @@ _EWMA_ALPHA = 0.3
 _CHECKS_PER_HEARTBEAT = 8
 
 #: The process-wide active tracker (``None`` — the default — disables
-#: progress; call sites guard on :func:`active_progress`).
+#: progress; its feeders guard on :func:`active_progress`).
 _ACTIVE: Optional["ProgressTracker"] = None
 
 
@@ -78,7 +85,7 @@ class ProgressTracker:
     methods (:meth:`begin`/:meth:`advance`/:meth:`note`/:meth:`finish`)
     are called from the one parent thread draining executor batches —
     except :meth:`note`, which takes the lock and so is also safe from
-    trial threads (the lifetime epochs note from them); the read side
+    trial threads (lifetime epochs are emitted from them); the read side
     (:meth:`snapshot`, the properties, a ``watch`` follower) is safe
     from any thread at any time.
 
@@ -124,7 +131,7 @@ class ProgressTracker:
         self._finished = False
 
     # ------------------------------------------------------------------
-    # feeding (executors / runner, parent-side only)
+    # feeding (the sweep bracket and ``repro.obs.emit``)
 
     def begin(self, trials: int) -> None:
         """A sweep of ``trials`` started; totals accumulate across sweeps."""
@@ -145,8 +152,8 @@ class ProgressTracker:
         """
         if count <= 0:
             return
-        # Lock-free fast path: the feed is single-producer (executors
-        # advance parent-side, from the one thread draining batches), so
+        # Lock-free fast path: the feed is single-producer (the sweep
+        # bracket advances from the one thread draining batches), so
         # plain increments cannot race each other; concurrent *readers*
         # see either the old or the new count, never a torn one.
         self._done += count
@@ -283,11 +290,7 @@ class ProgressTracker:
                 failed=self._failed,
                 trials_per_sec=self._rate if self._rate is not None else 0.0,
                 eta_seconds=self._eta_locked(),
-                retries=self._notes["retries"],
-                respawns=self._notes["respawns"],
-                quarantined=self._notes["quarantined"],
-                fallbacks=self._notes["fallbacks"],
-                epochs=self._notes["epochs"],
+                **self._notes,
             )
         log = active_event_log()
         if log is not None:

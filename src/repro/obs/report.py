@@ -8,6 +8,10 @@ operator compares across runs — trials/sec, wall vs. CPU time, a
 worker-utilization estimate, retry/fallback and checkpoint counts, the
 span-time breakdown and a slowest-trial table — rendered as text
 (:meth:`RunReport.render_text`) or JSON (:meth:`RunReport.to_json`).
+The fault and lifecycle counts are read through
+:data:`~repro.obs.events.TALLIES`, the same table that decides which
+counter and progress tally :func:`repro.obs.emit` bumps, so a report
+counts exactly what the metrics snapshot and the status file count.
 
 The worker-utilization estimate divides the wall-clock the chunks spent
 busy inside workers by ``workers x run wall``: 1.0 means every worker
@@ -25,6 +29,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
+from repro.obs.events import TALLIES
 
 __all__ = [
     "RunReport",
@@ -264,11 +269,13 @@ def build_report(data: TraceData) -> RunReport:
     completed = failed = runs = 0
     wall_ns = cpu_ns = 0
     workers = 1
-    chunks_dispatched = fallbacks = checkpoints = epochs = 0
-    retried = respawned = quarantined = recovered = 0
+    field_of = {event.__name__: tally.report for event, tally in TALLIES.items()}
+    tallied = dict.fromkeys(field_of.values(), 0)
     for event in data.events:
         name = event.get("event")
-        if name == "RunStarted":
+        if name in field_of:
+            tallied[field_of[name]] += 1
+        elif name == "RunStarted":
             workers = max(workers, int(event.get("workers", 1)))
         elif name == "RunFinished":
             runs += 1
@@ -276,22 +283,6 @@ def build_report(data: TraceData) -> RunReport:
             failed += int(event.get("failed", 0))
             wall_ns += int(event.get("wall_ns", 0))
             cpu_ns += int(event.get("cpu_ns", 0))
-        elif name == "ChunkDispatched":
-            chunks_dispatched += 1
-        elif name == "ChunkFellBack":
-            fallbacks += 1
-        elif name == "ChunkRetried":
-            retried += 1
-        elif name == "PoolRespawned":
-            respawned += 1
-        elif name == "TrialQuarantined":
-            quarantined += 1
-        elif name == "CheckpointWritten":
-            checkpoints += 1
-        elif name == "CheckpointRecovered":
-            recovered += 1
-        elif name == "EpochAdvanced":
-            epochs += 1
     # Without Run events (e.g. a truncated trace) fall back to the
     # event clock: monotonic t_ns of the first and last events.
     if wall_ns <= 0 and len(data.events) >= 2:
@@ -331,18 +322,11 @@ def build_report(data: TraceData) -> RunReport:
         trials_per_second=throughput,
         workers=workers,
         worker_utilization=utilization,
-        chunks_dispatched=chunks_dispatched,
-        chunk_fallbacks=fallbacks,
-        checkpoints_written=checkpoints,
-        epochs_advanced=epochs,
-        chunks_retried=retried,
-        pools_respawned=respawned,
-        trials_quarantined=quarantined,
-        checkpoints_recovered=recovered,
         trial_p50_ms=p50,
         trial_p90_ms=p90,
         trial_p99_ms=p99,
         span_rows=span_rows,
         slowest_trials=slowest,
         counters=counters,
+        **tallied,
     )

@@ -31,8 +31,8 @@ from repro.deployment.uniform import UniformDeployment
 from repro.errors import InvalidParameterError
 from repro.geometry.angles import validate_effective_angle
 from repro.geometry.grid import DenseGrid
-from repro.obs.events import EpochAdvanced, active_event_log
-from repro.obs.progress import active_progress
+from repro.obs import emit
+from repro.obs.events import EpochAdvanced
 from repro.obs.trace import span
 from repro.resilience.failures import FailureModel
 from repro.sensors.fleet import SensorFleet
@@ -143,8 +143,6 @@ def simulate_lifetime(
     fractions = [evaluate(fleet)]
     alive = [len(fleet)]
     break_epoch: Optional[int] = None if fractions[0] >= 1.0 else 0
-    log = active_event_log()
-    progress = active_progress()
     for epoch in range(1, epochs + 1):
         if stop_at_break and break_epoch is not None:
             break
@@ -157,12 +155,7 @@ def simulate_lifetime(
         # Telemetry only (no-op without an obs context; worker
         # processes never have one, while worker threads feed the
         # parent's thread-safe log and tracker).
-        if log is not None:
-            log.emit(
-                EpochAdvanced(epoch=epoch, alive=len(fleet), coverage=fraction)
-            )
-        if progress is not None:
-            progress.note("epochs")
+        emit(EpochAdvanced(epoch=epoch, alive=len(fleet), coverage=fraction))
     return LifetimeTrace(
         break_epoch=break_epoch,
         epochs=epochs,

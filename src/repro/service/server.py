@@ -51,7 +51,7 @@ from repro.api.schemas import (
 )
 from repro.errors import FullViewError, SchemaError, ServiceError
 from repro.ioutil import config_digest
-from repro.obs.ledger import LEDGER_FORMAT, append_run, git_sha, new_run_id
+from repro.obs.ledger import append_run, build_row, git_sha, new_run_id
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.service.cache import ResultCache, cache_key
@@ -418,30 +418,21 @@ class CoverageService:
             return
         canonical = request.canonical()
         trials = int(canonical.get("trials", 0) or 0)
-        completed = trials if outcome == "ok" else 0
-        rate = completed / wall_seconds if wall_seconds > 0 else 0.0
         engine = MonteCarloConfig(trials=1, workers=self.workers)
-        row = {
-            "format": LEDGER_FORMAT,
-            "run_id": new_run_id(),
-            "experiment": f"svc-{endpoint}",
-            "config_digest": config_digest(canonical),
-            "seed": int(canonical.get("seed", 0) or 0),
-            "git_sha": self._git_sha,
-            "executor": engine.resolved_executor(),
-            "workers": engine.resolved_workers(),
-            "wall_seconds": wall_seconds,
-            "trials_per_sec": rate,
-            "trials_completed": completed,
-            "trials_failed": 0,
-            "outcome": outcome,
-            "retries": 0,
-            "respawns": 0,
-            "quarantined": 0,
-            "checkpoints_recovered": 0,
-            "trace_path": None,
-            "metrics_path": None,
-            "started_unix": time.time(),
-        }
+        row = build_row(
+            run_id=new_run_id(),
+            experiment=f"svc-{endpoint}",
+            config_digest=config_digest(canonical),
+            seed=int(canonical.get("seed", 0) or 0),
+            git_sha=self._git_sha,
+            executor=engine.resolved_executor(),
+            workers=engine.resolved_workers(),
+            wall_seconds=wall_seconds,
+            outcome=outcome,
+            started_unix=time.time(),
+            # The request's own fault tallies are not collected yet, so
+            # every fault column is 0.
+            counters={"trials_completed": trials if outcome == "ok" else 0},
+        )
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, append_run, self.ledger_path, row)

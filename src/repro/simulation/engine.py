@@ -38,13 +38,18 @@ prefix of the sweep, which is exactly the invariant the checkpointed
 runner (:mod:`repro.simulation.runner`) needs to resume at any index.
 
 The engine is instrumented for :mod:`repro.obs`: with an active obs
-context every trial runs inside a ``"trial"`` span, process chunks
+context every trial runs inside a ``"trial"`` span and process chunks
 ship their spans back as aggregated :class:`~repro.obs.trace.ChunkTrace`
-records merged in trial order, and sweeps emit
-``RunStarted``/``ChunkDispatched``/``ChunkFellBack``/``RunFinished``
-events plus counters.  All of it is off by default, guarded by single
-``None`` checks, and none of it touches the trial generators — traced
-and untraced runs are bit-identical.
+records merged in trial order.  Each fault-ladder moment (a chunk
+dispatched, retried, quarantined or fallen back, a pool respawned) is
+one :func:`repro.obs.emit` call, whose table decides the counter and
+progress tally it feeds.  Both sweep loops — :func:`execute_trials`
+and the resilient runner's — run inside one
+:class:`SweepBracket`, which emits ``RunStarted``/``RunFinished``,
+drives progress and tallies the trial counters; the executors
+themselves feed no progress.  All of it is off by default, guarded by
+single ``None`` checks, and none of it touches the trial generators —
+traced and untraced runs are bit-identical.
 
 Errors inside a trial follow two regimes.  With ``isolate=False`` (the
 estimators' regime) the first exception propagates unchanged, like a
@@ -75,6 +80,7 @@ from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequ
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.obs import emit
 from repro.obs.events import (
     ChunkDispatched,
     ChunkFellBack,
@@ -83,7 +89,6 @@ from repro.obs.events import (
     RunFinished,
     RunStarted,
     TrialQuarantined,
-    active_event_log,
 )
 from repro.obs.metrics import active_metrics
 from repro.obs.progress import active_progress
@@ -107,6 +112,7 @@ __all__ = [
     "MonteCarloConfig",
     "ParallelExecutor",
     "SerialExecutor",
+    "SweepBracket",
     "ThreadExecutor",
     "TrialExecutor",
     "TrialOutcome",
@@ -404,13 +410,8 @@ class SerialExecutor(TrialExecutor):
         trials: Sequence[int],
         isolate: bool = False,
     ) -> Iterator[List[TrialOutcome]]:
-        progress = active_progress()
-        advance = progress.advance if progress is not None else None
         for trial in trials:
-            batch = [run_trial(task, config, trial, isolate=isolate)]
-            if advance is not None:
-                advance(1, failed=1 if batch[0].error is not None else 0)
-            yield batch
+            yield [run_trial(task, config, trial, isolate=isolate)]
 
 
 #: Warm process pools, one per worker count, reused across sweeps.
@@ -578,9 +579,7 @@ class _ChunkedExecutor(TrialExecutor):
             return
         recorder = active_recorder()
         trace = recorder is not None and self._crosses_processes
-        log = active_event_log()
         metrics = active_metrics()
-        progress = active_progress()
         retry = self.retry
         chaos = self.chaos
         probe_pair = None
@@ -609,38 +608,20 @@ class _ChunkedExecutor(TrialExecutor):
             return _run_chunk(task, config, tuple(chunk), isolate, trace)
 
         def fall_back(index: int, chunk: Sequence[int], reason: str):
-            if metrics is not None:
-                metrics.inc("chunk_fallbacks")
-            if progress is not None:
-                progress.note("fallbacks")
-            if log is not None:
-                log.emit(
-                    ChunkFellBack(
-                        chunk=index,
-                        first_trial=chunk[0],
-                        trials=len(chunk),
-                        reason=reason,
-                    )
+            emit(
+                ChunkFellBack(
+                    chunk=index, first_trial=chunk[0], trials=len(chunk), reason=reason
                 )
+            )
             return in_process(chunk)
 
-        def merge_trace(chunk_trace: Optional[ChunkTrace]) -> None:
+        def merge(pair) -> Tuple[List[TrialOutcome], Optional[BaseException]]:
+            batch, chunk_trace, interrupt = pair
             if chunk_trace is not None and recorder is not None:
                 recorder.merge_chunk(chunk_trace)
                 if metrics is not None:
                     for _trial, dur_ns in chunk_trace.trial_ns:
                         metrics.observe("trial_seconds", dur_ns / 1e9)
-
-        def merge(pair) -> Tuple[List[TrialOutcome], Optional[BaseException]]:
-            batch, chunk_trace, interrupt = pair
-            merge_trace(chunk_trace)
-            # Every path to a yield funnels through here (probe, pool
-            # result, fallback, quarantine), so one advance covers them
-            # all — parent-side, after the batch exists.
-            if progress is not None:
-                progress.advance(
-                    len(batch), failed=sum(1 for o in batch if not o.ok)
-                )
             return batch, interrupt
 
         futures: List[Optional[Future]] = [None] * len(chunks)
@@ -678,12 +659,7 @@ class _ChunkedExecutor(TrialExecutor):
                 pool = self._open_pool()
             except Exception:
                 return False
-            if metrics is not None:
-                metrics.inc("pool_respawns")
-            if progress is not None:
-                progress.note("respawns")
-            if log is not None:
-                log.emit(PoolRespawned(workers=self.workers, reason=reason))
+            emit(PoolRespawned(workers=self.workers, reason=reason))
             return True
 
         def resubmit_pending(start: int) -> None:
@@ -744,14 +720,7 @@ class _ChunkedExecutor(TrialExecutor):
                 if pair is None:
                     if len(part) == 1:
                         trial = int(part[0])
-                        if metrics is not None:
-                            metrics.inc("trials_quarantined")
-                        if progress is not None:
-                            progress.note("quarantined")
-                        if log is not None:
-                            log.emit(
-                                TrialQuarantined(trial=trial, error=state["error"])
-                            )
+                        emit(TrialQuarantined(trial=trial, error=state["error"]))
                         outcomes.append(
                             TrialOutcome(trial=trial, error=state["error"])
                         )
@@ -760,9 +729,8 @@ class _ChunkedExecutor(TrialExecutor):
                     run_part(part[:mid])
                     run_part(part[mid:])
                     return
-                batch, chunk_trace, part_interrupt = pair
+                batch, part_interrupt = merge(pair)
                 outcomes.extend(batch)
-                merge_trace(chunk_trace)
                 if part_interrupt is not None:
                     state["interrupt"] = part_interrupt
 
@@ -790,15 +758,12 @@ class _ChunkedExecutor(TrialExecutor):
             if not chunks:
                 return
             if pool is not None:
-                if log is not None:
-                    for index, chunk in enumerate(chunks):
-                        log.emit(
-                            ChunkDispatched(
-                                chunk=index, first_trial=chunk[0], trials=len(chunk)
-                            )
+                for index, chunk in enumerate(chunks):
+                    emit(
+                        ChunkDispatched(
+                            chunk=index, first_trial=chunk[0], trials=len(chunk)
                         )
-                if metrics is not None:
-                    metrics.inc("chunks_dispatched", len(chunks))
+                    )
             for index, chunk in enumerate(chunks):
                 pair = None
                 reason: Optional[str] = None
@@ -828,20 +793,15 @@ class _ChunkedExecutor(TrialExecutor):
                     attempts[index] += 1
                     if attempts[index] > retry.max_retries:
                         break
-                    if metrics is not None:
-                        metrics.inc("chunk_retries")
-                    if progress is not None:
-                        progress.note("retries")
-                    if log is not None:
-                        log.emit(
-                            ChunkRetried(
-                                chunk=index,
-                                first_trial=chunk[0],
-                                trials=len(chunk),
-                                attempt=attempts[index],
-                                reason=reason,
-                            )
+                    emit(
+                        ChunkRetried(
+                            chunk=index,
+                            first_trial=chunk[0],
+                            trials=len(chunk),
+                            attempt=attempts[index],
+                            reason=reason,
                         )
+                    )
                     delay = retry.backoff_seconds(
                         config.seed, int(chunk[0]), attempts[index]
                     )
@@ -956,6 +916,78 @@ def executor_for(
     return executor
 
 
+class SweepBracket:
+    """The telemetry around one sweep, shared by both sweep loops.
+
+    :func:`execute_trials` and the resilient runner each drain an
+    executor's batches in their own loop and hand every batch they take
+    to :meth:`received`, which advances progress.  Entering emits
+    ``RunStarted`` and begins progress with the ``resumed_ok`` +
+    ``resumed_failed`` trials restored from a checkpoint counted as
+    done.  A clean exit bumps ``trials_completed``/``trials_failed`` by
+    the trials run here (not the resumed ones), emits ``RunFinished``
+    with the whole sweep's tallies and finishes progress; an exception
+    skips all three, so an interrupted sweep reports no finish.
+    """
+
+    def __init__(
+        self,
+        config: MonteCarloConfig,
+        executor: TrialExecutor,
+        source: str = "engine",
+        resumed_ok: int = 0,
+        resumed_failed: int = 0,
+    ) -> None:
+        self.started = RunStarted(
+            trials=config.trials,
+            seed=config.seed,
+            workers=getattr(executor, "workers", 1),
+            source=source,
+        )
+        self.resumed = (resumed_ok, resumed_failed)
+        self.ok = self.failed = 0
+        self.progress = active_progress()
+        # Bound once: ``received`` runs per trial on the serial executor.
+        self.advance = self.progress.advance if self.progress is not None else None
+        self.clock = (0, 0)
+
+    def __enter__(self) -> "SweepBracket":
+        emit(self.started)
+        if self.progress is not None:
+            self.progress.begin(self.started.trials)
+            self.advance(sum(self.resumed), failed=self.resumed[1])
+        self.clock = (time.perf_counter_ns(), time.process_time_ns())
+        return self
+
+    def received(self, batch: List[TrialOutcome]) -> None:
+        """The sweep loop took ``batch`` from the executor."""
+        count = len(batch)
+        failed = sum(outcome.error is not None for outcome in batch)
+        self.ok += count - failed
+        self.failed += failed
+        if self.advance is not None:
+            self.advance(count, failed=failed)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            return
+        metrics = active_metrics()
+        if metrics is not None:
+            metrics.inc("trials_completed", self.ok)
+            metrics.inc("trials_failed", self.failed)
+        emit(
+            RunFinished(
+                completed=self.resumed[0] + self.ok,
+                failed=self.resumed[1] + self.failed,
+                wall_ns=time.perf_counter_ns() - self.clock[0],
+                cpu_ns=time.process_time_ns() - self.clock[1],
+                source=self.started.source,
+            )
+        )
+        if self.progress is not None:
+            self.progress.finish()
+
+
 def execute_trials(
     task: TrialTask,
     config: MonteCarloConfig,
@@ -968,44 +1000,14 @@ def execute_trials(
     The one-line entry point the estimators use: results are identical
     for every executor, so callers choose purely on wall-clock grounds
     (``executor=None`` means :func:`executor_for` picks from
-    ``config.workers`` and the task).  With an active obs context the
-    sweep is bracketed by ``RunStarted``/``RunFinished`` events and
-    tallies the ``trials_completed``/``trials_failed`` counters;
-    instrumentation is inert (two ``None`` checks) otherwise.
+    ``config.workers`` and the task).  The sweep runs inside a
+    :class:`SweepBracket`, which is inert (a few ``None`` checks)
+    without an active obs context.
     """
     executor = executor if executor is not None else executor_for(config, task)
-    log = active_event_log()
-    metrics = active_metrics()
-    progress = active_progress()
-    if log is not None:
-        log.emit(
-            RunStarted(
-                trials=config.trials,
-                seed=config.seed,
-                workers=getattr(executor, "workers", 1),
-            )
-        )
-    if progress is not None:
-        progress.begin(config.trials)
-    start_wall = time.perf_counter_ns()
-    start_cpu = time.process_time_ns()
     outcomes: List[TrialOutcome] = []
-    for batch in executor.run(task, config, range(config.trials), isolate=isolate):
-        outcomes.extend(batch)
-    completed = sum(1 for outcome in outcomes if outcome.ok)
-    failed = len(outcomes) - completed
-    if metrics is not None:
-        metrics.inc("trials_completed", completed)
-        metrics.inc("trials_failed", failed)
-    if log is not None:
-        log.emit(
-            RunFinished(
-                completed=completed,
-                failed=failed,
-                wall_ns=time.perf_counter_ns() - start_wall,
-                cpu_ns=time.process_time_ns() - start_cpu,
-            )
-        )
-    if progress is not None:
-        progress.finish()
+    with SweepBracket(config, executor) as sweep:
+        for batch in executor.run(task, config, range(config.trials), isolate=isolate):
+            sweep.received(batch)
+            outcomes.extend(batch)
     return outcomes

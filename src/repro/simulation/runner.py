@@ -37,11 +37,14 @@ transparently falls back to in-process execution.
 
 Checkpoints are written durably (fsynced before the atomic rename, so
 a crash can never leave a torn file behind the rename) and stamped
-with the package version and seed for provenance.  With an active
-:mod:`repro.obs` context the sweep emits ``RunStarted`` /
-``CheckpointWritten`` / ``RunFinished`` events and checkpoint/trial
-counters; as everywhere, telemetry is off by default and never touches
-the trial generators.
+with the package version and seed for provenance.  The sweep loop runs
+inside the engine's :class:`~repro.simulation.engine.SweepBracket`,
+the same bracket :func:`~repro.simulation.engine.execute_trials` uses,
+so ``RunStarted``/``RunFinished``, progress and the trial counters
+behave alike for both sweep loops (resumed trials count as done, not as
+newly run); each checkpoint write or recovery is one
+:func:`repro.obs.emit`.  As everywhere, telemetry is off by default and
+never touches the trial generators.
 """
 
 from __future__ import annotations
@@ -64,16 +67,9 @@ from repro.ioutil import (
     verify_checksum,
     write_json_atomic,
 )
-from repro.obs.events import (
-    CheckpointRecovered,
-    CheckpointWritten,
-    RunFinished,
-    RunStarted,
-    active_event_log,
-)
-from repro.obs.metrics import active_metrics
-from repro.obs.progress import active_progress
-from repro.simulation.engine import MonteCarloConfig, executor_for
+from repro.obs import emit
+from repro.obs.events import CheckpointRecovered, CheckpointWritten
+from repro.simulation.engine import MonteCarloConfig, SweepBracket, executor_for
 from repro.simulation.faults import ChaosPolicy, resolve_chaos_policy
 from repro.simulation.montecarlo import PointProbabilityTask
 from repro.simulation.statistics import BernoulliEstimate, wilson_interval
@@ -86,6 +82,7 @@ __all__ = [
     "TrialFailure",
     "TrialFn",
     "make_point_probability_trial",
+    "parse_checkpoint",
     "run_resilient_trials",
 ]
 
@@ -237,33 +234,29 @@ def _write_checkpoint(
         # file after the durable write succeeded.
         text = path.read_text()
         path.write_text(text[: max(1, len(text) // 2)])
-    metrics = active_metrics()
-    if metrics is not None:
-        metrics.inc("checkpoint_writes")
-    log = active_event_log()
-    if log is not None:
-        log.emit(
-            CheckpointWritten(path=str(path), checkpoint_kind="trial", next_trial=next_trial)
-        )
+    emit(CheckpointWritten(path=str(path), checkpoint_kind="trial", next_trial=next_trial))
 
 
-def _parse_checkpoint(path: Path) -> dict:
+def parse_checkpoint(path: Path, format_tag: str = CHECKPOINT_FORMAT) -> dict:
     """Read and integrity-check one checkpoint file (no config checks).
 
+    The one reader for both checkpoint kinds: the trial checkpoint here
+    and ``fullview run``'s experiment checkpoint (``format_tag``).
     Raises :class:`CheckpointError` for every *corruption* shape —
-    unreadable file, truncated/invalid JSON, wrong format tag, failed
-    checksum — which is exactly the class of failure the backup file
-    can recover from.
+    unreadable file, truncated/invalid JSON, not a JSON object, wrong
+    format tag, failed checksum — which is exactly the class of failure
+    the backup file can recover from.  A payload with no checksum
+    passes (see :func:`~repro.ioutil.verify_checksum`).
     """
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CheckpointError(
             f"cannot read checkpoint {path}: {exc}; {_RECOVERY_HINT}"
         ) from exc
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != format_tag:
         raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_FORMAT} checkpoint; {_RECOVERY_HINT}"
+            f"{path} is not a {format_tag} checkpoint; {_RECOVERY_HINT}"
         )
     if not verify_checksum(payload):
         raise CheckpointError(
@@ -305,10 +298,6 @@ def _validate_checkpoint(path: Path, payload: dict, config: MonteCarloConfig):
     return next_trial, outcomes, failures
 
 
-def _load_checkpoint(path: Path, config: MonteCarloConfig):
-    return _validate_checkpoint(path, _parse_checkpoint(path), config)
-
-
 def _load_or_recover_checkpoint(path: Path, config: MonteCarloConfig):
     """Load the main checkpoint, healing from the backup if corrupt.
 
@@ -323,28 +312,21 @@ def _load_or_recover_checkpoint(path: Path, config: MonteCarloConfig):
     """
     backup = _backup_path(path)
     try:
-        payload = _parse_checkpoint(path)
+        payload = parse_checkpoint(path)
     except CheckpointError as exc:
         if not backup.exists():
             raise
         try:
-            payload = _parse_checkpoint(backup)
+            payload = parse_checkpoint(backup)
         except CheckpointError:
             raise exc from None
         state = _validate_checkpoint(backup, payload, config)
         write_json_atomic(path, payload)
-        metrics = active_metrics()
-        if metrics is not None:
-            metrics.inc("checkpoint_recoveries")
-        log = active_event_log()
-        if log is not None:
-            log.emit(
-                CheckpointRecovered(
-                    path=str(path),
-                    recovered_from=str(backup),
-                    next_trial=state[0],
-                )
+        emit(
+            CheckpointRecovered(
+                path=str(path), recovered_from=str(backup), next_trial=state[0]
             )
+        )
         return state
     return _validate_checkpoint(path, payload, config)
 
@@ -407,8 +389,6 @@ def run_resilient_trials(
     ):
         start, outcomes, failures = _load_or_recover_checkpoint(path, config)
     resumed = len(outcomes) + len(failures)
-    resumed_ok = len(outcomes)
-    resumed_failed = len(failures)
 
     def checkpoint(at_trial: int) -> None:
         # Each write carries its ordinal so the chaos corrupt seam can
@@ -419,79 +399,54 @@ def run_resilient_trials(
         )
         write_index += 1
 
-    log = active_event_log()
-    if log is not None:
-        log.emit(
-            RunStarted(
-                trials=config.trials,
-                seed=config.seed,
-                workers=config.resolved_workers(),
-                source="runner",
-            )
-        )
-    progress = active_progress()
-    if progress is not None:
-        # Resumed trials count as already done: the heartbeat position
-        # reflects the sweep, not just this process's share of it.
-        progress.begin(config.trials)
-        progress.advance(resumed, failed=resumed_failed)
-    start_wall = time.perf_counter_ns()
-    start_cpu = time.process_time_ns()
     truncated = False
-    started_at = time.monotonic()
     next_trial = start
-    batches = executor_for(config, trial_fn).run(
-        trial_fn, config, range(start, config.trials), isolate=True
-    )
-    try:
-        while next_trial < config.trials:
-            if (
-                time_budget is not None
-                and time.monotonic() - started_at >= time_budget
-            ):
-                truncated = True
-                break
-            batch = next(batches, None)
-            if batch is None:
-                break
-            for outcome in batch:
-                if outcome.ok:
-                    outcomes.append((outcome.trial, float(outcome.value)))
-                else:
-                    failures.append(
-                        TrialFailure(trial=outcome.trial, error=outcome.error)
-                    )
-                next_trial = outcome.trial + 1
-                if path is not None and (next_trial - start) % checkpoint_every == 0:
-                    checkpoint(next_trial)
-    except BaseException:
-        # Interrupts and crashes must not lose completed work.
+    executor = executor_for(config, trial_fn)
+    with SweepBracket(
+        config,
+        executor,
+        source="runner",
+        resumed_ok=len(outcomes),
+        resumed_failed=len(failures),
+    ) as sweep:
+        started_at = time.monotonic()
+        batches = executor.run(
+            trial_fn, config, range(start, config.trials), isolate=True
+        )
+        try:
+            while next_trial < config.trials:
+                if (
+                    time_budget is not None
+                    and time.monotonic() - started_at >= time_budget
+                ):
+                    truncated = True
+                    break
+                batch = next(batches, None)
+                if batch is None:
+                    break
+                sweep.received(batch)
+                for outcome in batch:
+                    if outcome.ok:
+                        outcomes.append((outcome.trial, float(outcome.value)))
+                    else:
+                        failures.append(
+                            TrialFailure(trial=outcome.trial, error=outcome.error)
+                        )
+                    next_trial = outcome.trial + 1
+                    if path is not None and (next_trial - start) % checkpoint_every == 0:
+                        checkpoint(next_trial)
+        except BaseException:
+            # Interrupts and crashes must not lose completed work.
+            if path is not None:
+                checkpoint(next_trial)
+            raise
+        finally:
+            # Dropping the executor's generator cancels any queued chunks.
+            close = getattr(batches, "close", None)
+            if close is not None:
+                close()
         if path is not None:
             checkpoint(next_trial)
-        raise
-    finally:
-        # Dropping the executor's generator cancels any queued chunks.
-        close = getattr(batches, "close", None)
-        if close is not None:
-            close()
-    if path is not None:
-        checkpoint(next_trial)
-    metrics = active_metrics()
-    if metrics is not None:
-        metrics.inc("trials_completed", len(outcomes) - resumed_ok)
-        metrics.inc("trials_failed", len(failures) - resumed_failed)
-    if log is not None:
-        log.emit(
-            RunFinished(
-                completed=len(outcomes),
-                failed=len(failures),
-                wall_ns=time.perf_counter_ns() - start_wall,
-                cpu_ns=time.process_time_ns() - start_cpu,
-                source="runner",
-            )
-        )
-    if progress is not None:
-        progress.finish()
     return ResilientResult(
         requested=config.trials,
         outcomes=tuple(outcomes),

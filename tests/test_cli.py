@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import CheckpointError
 
 
 class TestParser:
@@ -212,3 +215,47 @@ class TestRunCheckpoint:
         out = capsys.readouterr().out
         assert code == 0
         assert "resume with" in out
+
+    @staticmethod
+    def _resume(ckpt):
+        return main(["run", "EQ19", "--checkpoint", str(ckpt), "--resume"])
+
+    @staticmethod
+    def _write(ckpt, payload):
+        ckpt.mkdir()
+        (ckpt / "run_checkpoint.json").write_text(json.dumps(payload))
+
+    def test_resume_rejects_non_object(self, tmp_path):
+        self._write(tmp_path / "ckpt", [])
+        with pytest.raises(CheckpointError, match="run_checkpoint.json"):
+            self._resume(tmp_path / "ckpt")
+
+    def test_resume_rejects_wrong_typed_entry(self, tmp_path):
+        self._write(
+            tmp_path / "ckpt",
+            {"format": "fullview-run-checkpoint-v1", "seed": 0, "full": False,
+             "completed": {"EQ19": 1}},
+        )
+        with pytest.raises(CheckpointError, match="malformed"):
+            self._resume(tmp_path / "ckpt")
+
+    def test_resume_rejects_flipped_checksum(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["run", "EQ19", "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        path = ckpt / "run_checkpoint.json"
+        payload = json.loads(path.read_text())
+        digest = payload["sha256"]
+        payload["sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="integrity"):
+            self._resume(ckpt)
+
+    def test_resume_accepts_unstamped_checkpoint(self, tmp_path, capsys):
+        self._write(
+            tmp_path / "ckpt",
+            {"format": "fullview-run-checkpoint-v1", "seed": 0, "full": False,
+             "completed": {"EQ19": {"passed": True}}},
+        )
+        assert self._resume(tmp_path / "ckpt") == 0
+        assert "already completed (checkpoint)" in capsys.readouterr().out
