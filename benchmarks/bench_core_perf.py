@@ -57,15 +57,8 @@ def directions():
 
 
 def test_perf_covering_query(benchmark, fleet):
-    """Spatial-indexed covering query on a 2000-sensor fleet."""
+    """Brute-force covering query on a 2000-sensor fleet."""
     result = benchmark(fleet.covering, (0.5, 0.5))
-    assert result is not None
-    _record_mean("core_covering_query_indexed", fleet.covering, (0.5, 0.5))
-
-
-def test_perf_covering_query_no_index(benchmark, fleet):
-    """Unindexed (vectorised brute force) covering query."""
-    result = benchmark(fleet.covering, (0.5, 0.5), False)
     assert result is not None
 
 

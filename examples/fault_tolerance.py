@@ -32,7 +32,6 @@ def main() -> None:
     fleet = workload.scheme.deploy(
         workload.profile, workload.n, np.random.default_rng(21)
     )
-    fleet.build_index()
     print(f"{workload.description}: n = {workload.n}, theta = "
           f"{theta / math.pi:.2f}*pi, provisioned at 1.5x sufficient CSA\n")
 

@@ -123,8 +123,9 @@ def deploy(
     common homogeneous case.  ``scheme`` defaults to the paper's
     uniform deployment on the unit torus; randomness comes from ``rng``
     when given, else from ``seed`` (so equal seeds give bit-identical
-    fleets).  ``build_index`` pre-builds the spatial index the sparse
-    kernels and scalar queries use.
+    fleets).  ``build_index`` pre-builds the cell index the sparse
+    kernel prunes candidates with (it is otherwise built on the first
+    sparse evaluation); single-point queries never use it.
     """
     resolved = _as_profile(profile, radius, angle_of_view)
     scheme = scheme or UniformDeployment()
@@ -276,8 +277,9 @@ def run_experiment(
     """Run a registered paper experiment (PHASE, GAP, BARRIER, ...).
 
     ``fast`` trades trial counts for wall-clock (fast mode is the CI
-    budget); ``seed`` pins every random stream; ``workers`` forwards to
-    runners that support parallel execution.  See
+    budget); ``seed`` pins every random stream; ``workers`` runs every
+    Monte-Carlo sweep of the experiment on that many workers
+    (bit-identical to serial).  See
     :func:`repro.experiments.registry.all_experiments` for the ids.
     """
     experiment = _registry.get_experiment(experiment_id)

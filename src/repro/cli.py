@@ -592,7 +592,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if args.provision is not None:
         workload = workload.provisioned(q=args.provision)
     fleet = workload.scheme.deploy(workload.profile, workload.n, root_rng(args.seed))
-    fleet.build_index()
     theta = workload.theta
 
     print(f"workload: {workload.name} — {workload.description}")

@@ -1,8 +1,8 @@
 """Vectorised batch evaluation of coverage over many points.
 
-The scalar path (:meth:`SensorFleet.covering_directions` per point) is
-the readable reference; this module evaluates *all* points of a grid
-against *all* sensors with numpy broadcasting, chunked to bound memory.
+The scalar path (:meth:`SensorFleet.covering_directions` per point, a
+brute-force test against every sensor) is the readable reference; this
+module evaluates *all* points of a grid at once, chunked to bound memory.
 Results are bit-identical to the scalar path (property-tested), and the
 speedup makes the grid-level experiments (PHASE, GAP, BARRIER) an order
 of magnitude cheaper.
@@ -14,11 +14,12 @@ direction.  One formula, :func:`_pair_verdicts`, decides a pair's
 verdict and direction, and the two evaluation paths differ only in
 which pairs they hand it.  The *dense* path
 (:func:`covering_and_directions`) broadcasts every point against every
-sensor.  The *sparse* path (:func:`sparse_covering_pairs`) prunes
-candidates through :meth:`ToroidalCellIndex.query_radius_batch` and
-evaluates only (point, sensor) pairs whose cells intersect the largest
-sensing disk — in the paper's regime (``r ~ sqrt(log n / n)``) that is
-``O(log n)`` pairs per point instead of ``n``.  :func:`_covering_pairs`
+sensor.  The *sparse* path (:func:`sparse_covering_pairs`), the one
+user of the fleet's cell index, prunes candidates through
+:meth:`ToroidalCellIndex.query_radius_batch` and evaluates only
+(point, sensor) pairs whose cells intersect the largest sensing disk —
+in the paper's regime (``r ~ sqrt(log n / n)``) that is ``O(log n)``
+pairs per point instead of ``n``.  :func:`_covering_pairs`
 picks the path through :func:`repro.core.kernels.resolve_kernel` (the
 ``kernel=`` argument every public kernel accepts) and flattens either
 result into the same covering pairs, in ascending point order; each
@@ -180,11 +181,12 @@ class SparseCovering:
 def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCovering:
     """Covering verdicts and directions over candidate pairs only.
 
-    Candidates come from the fleet's cell index (built on demand and
-    cached on the fleet) queried at the largest sensing radius with no
-    distance refinement — a cell-level superset whose ranges carry
-    their own float slack, so a borderline pair can never be lost
-    before the exact test.  Each candidate pair is then evaluated by
+    Candidates come from the fleet's cell index, built on demand and
+    cached on the fleet, so a caller evaluating one fleet in several
+    calls builds it once.  It is queried at the largest sensing radius
+    and returns a cell-level superset whose ranges carry their own
+    float slack, so a borderline pair can never be lost before the
+    exact test.  Each candidate pair is then evaluated by
     :func:`_pair_verdicts`, as in the dense path, chunked to bound
     memory.
     """
@@ -200,7 +202,7 @@ def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCover
         )
     index = fleet.index if fleet.index is not None else fleet.build_index()
     with span("sparse_pairs", points=m, sensors=n):
-        indptr, sensors = index.query_radius_batch(points, fleet.max_radius, refine=False)
+        indptr, sensors = index.query_radius_batch(points, fleet.max_radius)
         nnz = sensors.shape[0]
         rows = np.repeat(np.arange(m, dtype=np.intp), np.diff(indptr))
         covers = np.empty(nnz, dtype=bool)

@@ -221,7 +221,6 @@ def condition_fraction(
     theta: float,
     condition: str,
     start: float = 0.0,
-    use_index: bool = True,
 ) -> float:
     """Fraction of points meeting the named condition.
 
@@ -246,11 +245,9 @@ def condition_fraction(
         raise InvalidParameterError(
             f"condition must be 'necessary', 'sufficient' or 'exact', got {condition!r}"
         )
-    if use_index and fleet.index is None and len(fleet) > 0:
-        fleet.build_index()
     hits = 0
     for x, y in pts:
-        directions = fleet.covering_directions((float(x), float(y)), use_index=use_index)
+        directions = fleet.covering_directions((float(x), float(y)))
         if test(directions):
             hits += 1
     return hits / pts.shape[0]

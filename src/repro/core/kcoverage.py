@@ -114,22 +114,14 @@ def is_k_covered(fleet: SensorFleet, point: Point, k: int) -> bool:
     return fleet.coverage_count(point) >= k
 
 
-def k_coverage_fraction(
-    fleet: SensorFleet, points: np.ndarray, k: int, use_index: bool = True
-) -> float:
+def k_coverage_fraction(fleet: SensorFleet, points: np.ndarray, k: int) -> float:
     """Fraction of ``points`` covered by at least ``k`` sensors."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k!r}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise InvalidParameterError("need at least one evaluation point")
-    if use_index and fleet.index is None and len(fleet) > 0:
-        fleet.build_index()
-    hits = sum(
-        1
-        for x, y in pts
-        if fleet.coverage_count((float(x), float(y)), use_index=use_index) >= k
-    )
+    hits = sum(1 for x, y in pts if fleet.coverage_count((float(x), float(y))) >= k)
     return hits / pts.shape[0]
 
 

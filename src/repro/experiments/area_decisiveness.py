@@ -15,7 +15,7 @@ two-proportion z-test at 3 sigma, plus an absolute cap).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.experiments.registry import ExperimentResult, register
 from repro.seeding import derive_seed
@@ -40,9 +40,7 @@ def _z_statistic(p1: float, n1: int, p2: float, n2: int) -> float:
     "Sensing area is decisive; sector shape is irrelevant (Section VI-A)",
     "Section VI-A discussion",
 )
-def run(
-    fast: bool = True, seed: int = 0, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Verify sensing area is decisive while sector shape is irrelevant."""
     sensing_area = 0.012
     n = 400
@@ -70,9 +68,7 @@ def run(
     for i, (label, phi) in enumerate(shapes):
         spec = CameraSpec.from_area(sensing_area, phi)
         profile = HeterogeneousProfile.homogeneous(spec)
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 5000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 5000, i))
         estimate = estimate_point_probability(profile, n, theta, "exact", cfg)
         low, high = estimate.wilson()
         table.add_row(

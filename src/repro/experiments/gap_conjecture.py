@@ -22,7 +22,6 @@ tabulated and must satisfy the sandwich ordering.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.csa import csa_necessary, csa_sufficient
 from repro.experiments.registry import ExperimentResult, register
@@ -45,9 +44,7 @@ _PHI = math.pi / 2.0
     "Coverage is a random event between the CSAs (Section VI-C, Fig. 9)",
     "Section VI-C discussion / Figure 9",
 )
-def run(
-    fast: bool = True, seed: int = 0, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Show coverage is a random event between the two CSAs (Fig. 9)."""
     n = 300 if fast else 1000
     theta = math.pi / 3.0
@@ -70,9 +67,7 @@ def run(
     covered_probs = []
     for i, (label, target) in enumerate(targets):
         profile = HeterogeneousProfile.homogeneous(CameraSpec.from_area(target, _PHI))
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 3000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 3000, i))
         failure = estimate_grid_failure_probability(
             profile, n, theta, "exact", cfg, max_grid_points=max_points
         )
@@ -106,9 +101,7 @@ def run(
     mid_profile = HeterogeneousProfile.homogeneous(
         CameraSpec.from_area(targets[1][1], _PHI)
     )
-    chain_cfg = MonteCarloConfig(
-        trials=max(trials, 200), seed=derive_seed(seed, 99), workers=workers
-    )
+    chain_cfg = MonteCarloConfig(trials=max(trials, 200), seed=derive_seed(seed, 99))
     chain = estimate_condition_chain(mid_profile, n, theta, chain_cfg)
     chain_table.add_row(
         "band_midpoint",

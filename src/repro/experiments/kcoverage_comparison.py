@@ -74,7 +74,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     point = (0.5, 0.5)
     for rng in cfg.rngs():
         fleet = scheme.deploy(profile, n, rng)
-        fleet.build_index()
         directions = fleet.covering_directions(point)
         fv = is_full_view_covered(directions, theta)
         kc = directions.size >= k

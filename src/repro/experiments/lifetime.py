@@ -22,7 +22,6 @@ Expected shapes:
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.csa import csa_sufficient
 from repro.experiments.registry import ExperimentResult, register
@@ -60,9 +59,7 @@ def _profile_at(q: float, base_area: float) -> HeterogeneousProfile:
     "Network lifetime under progressive sensor failures (extension)",
     "Section VII-B fault-tolerance motivation, dynamic form",
 )
-def run(
-    fast: bool = True, seed: int = 0, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Simulate network lifetime under progressive sensor failures."""
     from repro.simulation.results import ResultTable
 
@@ -88,9 +85,7 @@ def run(
     )
     means = []
     for i, q in enumerate(q_values):
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 51000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 51000, i))
         dist = lifetime_distribution(
             _profile_at(q, base),
             n,
@@ -113,9 +108,7 @@ def run(
     checks["underprovisioned_dies_early"] = means[0] < 0.5 * epochs
 
     # 2. Coverage-vs-time and survival curves at q = 2.
-    cfg = MonteCarloConfig(
-        trials=trials, seed=derive_seed(seed, 52000), workers=workers
-    )
+    cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 52000))
     curve_dist = lifetime_distribution(
         _profile_at(2.0, base),
         n,

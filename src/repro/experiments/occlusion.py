@@ -89,7 +89,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         successes = 0
         for rng in cfg.rngs():
             fleet = scheme.deploy(base, n, rng)
-            fleet.build_index()
             # Rejection-sample obstacle fields that do not swallow the
             # probe point, so the prediction need not model that case.
             while True:

@@ -68,7 +68,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             positions = scheme.positions(n, rng)
             orientations = sampler.sample(positions, rng)
             fleet = fleet_from_profile_arrays(profile, positions, orientations)
-            fleet.build_index()
             dirs = fleet.covering_directions(point)
             covering_total += dirs.size
             detected += dirs.size > 0

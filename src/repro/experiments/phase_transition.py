@@ -16,7 +16,6 @@ the extremes, the shape Definition 2 predicts.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.core.csa import csa_necessary
 from repro.core.uniform_theory import grid_failure_bounds
@@ -40,9 +39,7 @@ _PHI = math.pi / 2.0
     "Grid-failure phase transition at s_c = q * CSA (Definition 2)",
     "Definition 2, Propositions 1-4",
 )
-def run(
-    fast: bool = True, seed: int = 0, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Trace the grid-failure phase transition at s_c = q * CSA."""
     n = 300 if fast else 1000
     theta = math.pi / 2.0
@@ -65,9 +62,7 @@ def run(
         profile = HeterogeneousProfile.homogeneous(
             CameraSpec.from_area(q * base_csa, _PHI)
         )
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 7000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 7000, i))
         estimate = estimate_grid_failure_probability(
             profile,
             n,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class _ProbabilisticNecessaryTrial:
     def __call__(self, trial: int, rng: np.random.Generator) -> bool:
         del trial
         fleet = UniformDeployment().deploy(self.profile, self.n, rng)
-        fleet.build_index()
         dirs = probabilistic_covering_directions(fleet, self.point, self.model, rng)
         return bool(necessary_condition_holds(dirs, self.theta))
 
@@ -63,9 +62,7 @@ class _ProbabilisticNecessaryTrial:
     "Probabilistic sensing == binary sensing at rho-scaled area (extension)",
     "Section VIII future work",
 )
-def run(
-    fast: bool = True, seed: int = 0, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Match probabilistic sensing to binary sensing at rho-scaled area."""
     n = 350
     theta = math.pi / 3.0
@@ -90,9 +87,7 @@ def run(
     for i, beta in enumerate(betas):
         model = ExponentialDecayModel(beta=beta, gamma=2.0)
         rho = model.expected_coverage_ratio()
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 17000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 17000, i))
         outcomes = execute_trials(
             _ProbabilisticNecessaryTrial(
                 profile=base, n=n, theta=theta, model=model, point=point

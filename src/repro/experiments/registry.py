@@ -13,13 +13,13 @@ agreement).  ``result.passed`` is the conjunction.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, InvalidParameterError
 from repro.obs.metrics import active_metrics
 from repro.obs.trace import span
+from repro.simulation.engine import _SCOPED_WORKERS
 from repro.simulation.results import ResultTable
 
 __all__ = [
@@ -32,9 +32,10 @@ __all__ = [
     "run_all",
 ]
 
-#: Runner signature: ``(fast, seed) -> ExperimentResult``, optionally
-#: accepting a ``workers`` keyword to parallelise its Monte-Carlo sweeps.
-Runner = Callable[..., "ExperimentResult"]
+#: Runner signature: ``(fast, seed) -> ExperimentResult``.  A runner
+#: leaves ``workers`` unset on its Monte-Carlo configs; the worker count
+#: of the run reaches them through :meth:`Experiment.run`.
+Runner = Callable[[bool, int], "ExperimentResult"]
 
 _REGISTRY: Dict[str, "Experiment"] = {}
 
@@ -98,21 +99,23 @@ class Experiment:
         seed: int = 0,
         workers: Optional[int] = None,
     ) -> ExperimentResult:
-        """Execute the runner; ``workers`` is forwarded when supported.
+        """Execute the runner, its Monte-Carlo sweeps on ``workers``.
 
-        Runners opt into parallel execution by accepting a ``workers``
-        keyword (threaded into their Monte-Carlo configs); results are
-        bit-identical across worker counts, so the knob is purely a
-        wall-clock choice.
+        ``workers`` becomes the default of every
+        :class:`~repro.simulation.montecarlo.MonteCarloConfig` the
+        runner builds without one, for this call and this thread only;
+        ``None`` leaves the ``FULLVIEW_WORKERS`` environment default in
+        force.  Results are bit-identical across worker counts, so it is
+        purely a wall-clock choice.
         """
-        kwargs = {}
-        if (
-            workers is not None
-            and "workers" in inspect.signature(self.runner).parameters
-        ):
-            kwargs["workers"] = workers
-        with span("experiment", experiment=self.experiment_id):
-            result = self.runner(fast, seed, **kwargs)
+        if workers is not None and workers < 1:
+            raise InvalidParameterError(f"workers must be >= 1, got {workers!r}")
+        token = _SCOPED_WORKERS.set(workers)
+        try:
+            with span("experiment", experiment=self.experiment_id):
+                result = self.runner(fast, seed)
+        finally:
+            _SCOPED_WORKERS.reset(token)
         if result.experiment_id != self.experiment_id:
             raise ExperimentError(
                 f"runner for {self.experiment_id} returned result labelled "

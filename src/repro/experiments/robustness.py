@@ -49,7 +49,6 @@ from repro.resilience.failures import (
     RadiusDegradation,
 )
 from repro.seeding import derive_seed
-from repro.sensors.fleet import SensorFleet
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
 from repro.simulation.engine import execute_trials
 from repro.simulation.montecarlo import MonteCarloConfig
@@ -77,11 +76,7 @@ class _NecessaryRateTrial:
         fleet = UniformDeployment().deploy(self.profile, self.n, rng)
         if self.model is not None:
             fleet = self.model.apply(fleet, rng)
-        if len(fleet):
-            fleet.build_index()
-            dirs = fleet.covering_directions(_POINT)
-        else:
-            dirs = SensorFleet.no_directions()
+        dirs = fleet.covering_directions(_POINT)
         return bool(necessary_condition_holds(dirs, self.theta))
 
 
@@ -96,7 +91,6 @@ class _BreachCostTrial:
     def __call__(self, trial: int, rng: np.random.Generator) -> int:
         del trial
         fleet = UniformDeployment().deploy(self.profile, self.n, rng)
-        fleet.build_index()
         dirs = fleet.covering_directions(_POINT)
         return int(breach_cost(dirs, self.theta))
 
@@ -114,9 +108,7 @@ def _necessary_rate(profile, n, theta, cfg, model=None):
     "Random and adversarial sensor failures (extension)",
     "Section VII-B fault-tolerance motivation",
 )
-def run(
-    fast: bool = True, seed: int = 0, workers: Optional[int] = None
-) -> ExperimentResult:
+def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     """Stress coverage under random and adversarial sensor failures."""
     n = 400
     theta = math.pi / 3.0
@@ -133,9 +125,7 @@ def run(
         columns=["p_failure", "simulated_p_necessary", "survivor_theory", "agrees"],
     )
     for i, p in enumerate([0.0, 0.2, 0.4, 0.6]):
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 21000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 21000, i))
         estimate = _necessary_rate(profile, n, theta, cfg, BernoulliFailure(p))
         survivors = max(1, round(n * (1.0 - p)))
         theory = 1.0 - necessary_failure_probability(profile, survivors, theta)
@@ -148,14 +138,10 @@ def run(
         title="ROBUST: orientation drift sigma vs undrifted baseline",
         columns=["sigma", "simulated_p_necessary", "baseline", "agrees"],
     )
-    base_cfg = MonteCarloConfig(
-        trials=trials, seed=derive_seed(seed, 41000), workers=workers
-    )
+    base_cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 41000))
     baseline = _necessary_rate(profile, n, theta, base_cfg)
     for i, sigma in enumerate([0.3, 1.5]):
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 42000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 42000, i))
         estimate = _necessary_rate(
             profile, n, theta, cfg, OrientationDrift(sigma)
         )
@@ -170,9 +156,7 @@ def run(
     )
     s_c = profile.weighted_sensing_area
     for i, factor in enumerate([1.0, 0.8, 0.6]):
-        cfg = MonteCarloConfig(
-            trials=trials, seed=derive_seed(seed, 43000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=trials, seed=derive_seed(seed, 43000, i))
         estimate = _necessary_rate(
             profile, n, theta, cfg, RadiusDegradation(factor)
         )
@@ -192,9 +176,7 @@ def run(
     mean_costs = []
     for i, q in enumerate([0.5, 1.0, 2.0, 4.0]):
         scaled = profile.scaled_to_weighted_area(q * base)
-        cfg = MonteCarloConfig(
-            trials=breach_trials, seed=derive_seed(seed, 31000, i), workers=workers
-        )
+        cfg = MonteCarloConfig(trials=breach_trials, seed=derive_seed(seed, 31000, i))
         outcomes = execute_trials(
             _BreachCostTrial(profile=scaled, n=n, theta=theta), cfg
         )

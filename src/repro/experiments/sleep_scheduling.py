@@ -75,7 +75,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             fleet = scheme.deploy(profile, n_total, rng)
             shift = rng.permutation(n_total)[:n_shift]
             active = fleet.subset(shift)
-            active.build_index()
             dirs = active.covering_directions(point)
             successes += necessary_condition_holds(dirs, theta)
         estimate = BernoulliEstimate(successes=successes, trials=trials)

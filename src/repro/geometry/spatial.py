@@ -1,27 +1,25 @@
-"""A toroidal cell index for fast neighbour queries.
+"""A toroidal cell index: candidate pruning for the sparse kernel.
 
-Coverage checks repeatedly ask "which sensors could possibly cover this
-point?" — i.e. which sensor apexes lie within the largest sensing radius
-of the point.  :class:`ToroidalCellIndex` buckets points into a uniform
-grid of cells over the region and answers radius queries by scanning
-only the cells the query disk can reach: on each axis, the cells from
-``⌊(x − R)/c⌋`` to ``⌊(x + R)/c⌋`` for a query coordinate ``x``, radius
-``R`` and cell side ``c``, wrapping across the torus seam when the
-region wraps.  One helper, :meth:`ToroidalCellIndex._cell_ranges`,
-computes those ranges for every query and owns the float-safety slack,
-so a caller can query at its exact radius and still never lose a point
-its own exact distance test would keep.
+The sparse coverage kernel in :mod:`repro.core.batch` asks, for many
+points at once, "which sensors could possibly cover this point?" — i.e.
+which sensor apexes lie within the largest sensing radius of the point.
+:class:`ToroidalCellIndex` buckets points into a uniform grid of cells
+over the region and answers with the members of the cells the query
+disk can reach: on each axis, the cells from ``⌊(x − R)/c⌋`` to
+``⌊(x + R)/c⌋`` for a query coordinate ``x``, radius ``R`` and cell side
+``c``, wrapping across the torus seam when the region wraps.  One
+helper, :meth:`ToroidalCellIndex._cell_ranges`, computes those ranges
+for every query and owns the float-safety slack, so a caller can query
+at its exact radius and still never lose a point its own exact distance
+test would keep.
 
 Storage is a CSR-style cell layout built with vectorised numpy ops: the
 indexed points are argsorted by flattened cell id into ``_members``, and
-``_cell_starts`` holds the prefix offsets of each cell's slice.  The
-same layout serves the scalar queries and the batched
-:meth:`ToroidalCellIndex.query_radius_batch`, which answers a radius
-query for *many* points at once with no per-point Python loops — the
-candidate-pruning backbone of the sparse coverage kernels in
-:mod:`repro.core.batch`.  The cell grid is capped at ``O(sqrt(n))``
-cells per side, so the index's memory is ``O(n)`` whatever cell size
-is asked for.
+``_cell_starts`` holds the prefix offsets of each cell's slice.  Its one
+query, :meth:`ToroidalCellIndex.query_radius_batch`, gathers the
+candidates of *many* points at once with no per-point Python loops.
+The cell grid is capped at ``O(sqrt(n))`` cells per side, so the
+index's memory is ``O(n)`` whatever cell size is asked for.
 
 For the sensor counts the paper studies (``n`` up to tens of thousands,
 radii of order ``sqrt(log n / n)``), this turns per-point candidate
@@ -39,9 +37,7 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.geometry.torus import Region, UNIT_TORUS
 
-__all__ = ["Point", "ToroidalCellIndex"]
-
-Point = Tuple[float, float]
+__all__ = ["ToroidalCellIndex"]
 
 #: Cells per side are capped at this many per ``sqrt(n)`` indexed
 #: points (plus one), so the cell table holds about four cells per point.
@@ -172,36 +168,15 @@ class ToroidalCellIndex:
         )
         return lengths.sum(axis=1), self._members[take]
 
-    def candidates_within(self, point: Point, radius: float) -> np.ndarray:
-        """Indices of points whose cell the query disk can reach.
-
-        This is a superset of the points within ``radius`` — callers
-        refine with an exact distance test (see :meth:`query`).  The
-        result is sorted and duplicate-free.
-        """
-        if radius < 0:
-            raise InvalidParameterError(f"radius must be non-negative, got {radius!r}")
-        probe = np.array([self.region.wrap_point(point)], dtype=float)
-        _, found = self._candidates(probe, radius)
-        found.sort()
-        return found
-
-    def query(self, point: Point, radius: float) -> np.ndarray:
-        """Indices of indexed points within ``radius`` of ``point``.
-
-        Distances honour the region's wrapping.  The result is sorted
-        and duplicate-free.
-        """
-        candidates = self.candidates_within(point, radius)
-        if candidates.size == 0:
-            return candidates
-        dists = self.region.distances(point, self._points[candidates])
-        return candidates[dists <= radius]
-
     def query_radius_batch(
-        self, points: np.ndarray, radius: float, refine: bool = True
+        self, points: np.ndarray, radius: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Radius query for many points at once, CSR-style.
+        """Candidates within ``radius`` of many points at once, CSR-style.
+
+        Row ``i`` holds the members of every cell the disk of ``radius``
+        around ``points[i]`` can reach: a superset of the indexed points
+        within ``radius`` under the region's wrapping, which the caller
+        refines with its own exact test.
 
         Parameters
         ----------
@@ -209,14 +184,6 @@ class ToroidalCellIndex:
             ``(m, 2)`` array of query points.
         radius:
             Query radius (one value for all points).
-        refine:
-            When true (default) candidates are filtered by the exact
-            wrapped distance, so row ``i`` equals
-            ``query(points[i], radius)``.  When false the cell-level
-            candidate superset is returned unfiltered — row ``i``
-            equals ``candidates_within(points[i], radius)`` — which is
-            what the sparse coverage kernels want (they apply their own
-            exact per-pair tests).
 
         Returns
         -------
@@ -239,15 +206,6 @@ class ToroidalCellIndex:
             return np.zeros(m + 1, dtype=np.intp), np.empty(0, dtype=np.intp)
         per_point, cand = self._candidates(pts, radius)
         rows = np.repeat(np.arange(m, dtype=np.intp), per_point)
-        if refine:
-            delta = self._points[cand] - pts[rows]
-            if self.region.torus:
-                half = 0.5 * self.region.side
-                delta = np.mod(delta + half, self.region.side) - half
-            # Same comparison as query(): hypot distance against radius.
-            keep = np.hypot(delta[:, 0], delta[:, 1]) <= radius
-            cand = cand[keep]
-            rows = rows[keep]
         # One sort of the key row * n + id orders every row's ids.  Rows
         # already ascend, so each key stays inside its row's slice, and
         # the keys are distinct, so any sort kind gives the same order.
@@ -255,29 +213,6 @@ class ToroidalCellIndex:
         keys = offsets + cand
         keys.sort()
         cand = keys - offsets
-        counts = np.bincount(rows, minlength=m)
         indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(per_point, out=indptr[1:])
         return indptr, cand
-
-    def nearest(self, point: Point) -> Tuple[int, float]:
-        """Index and distance of the nearest indexed point.
-
-        Falls back to a full scan when local cells are empty (correct on
-        both torus and bounded square).  Raises
-        :class:`~repro.errors.InvalidParameterError` on an empty index.
-        """
-        if len(self) == 0:
-            raise InvalidParameterError("nearest() on an empty index")
-        # Expanding ring search, falling back to exhaustive scan.
-        radius = self._cell_size
-        while radius < self.region.max_distance():
-            hits = self.query(point, radius)
-            if hits.size:
-                dists = self.region.distances(point, self._points[hits])
-                best = int(np.argmin(dists))
-                return int(hits[best]), float(dists[best])
-            radius *= 2.0
-        dists = self.region.distances(point, self._points)
-        best = int(np.argmin(dists))
-        return best, float(dists[best])

@@ -11,9 +11,11 @@ check reduces to:
 - :meth:`SensorFleet.covering_directions` — the *viewed directions*
   ``P -> S`` of those sensors, the inputs to the full-view criterion.
 
-An optional :class:`~repro.geometry.spatial.ToroidalCellIndex` restricts
-the candidate set per query; results are identical with or without it
-(property-tested).
+Both are the readable scalar reference: a brute-force test of the point
+against every sensor, with no index and no vectorisation over points.
+The fleet also caches the :class:`~repro.geometry.spatial.ToroidalCellIndex`
+that the sparse batch kernel in :mod:`repro.core.batch` prunes its
+candidate pairs with; the per-point queries never read it.
 """
 
 from __future__ import annotations
@@ -153,17 +155,6 @@ class SensorFleet:
         view.flags.writeable = False
         return view
 
-    @staticmethod
-    def no_directions() -> np.ndarray:
-        """The canonical empty viewed-direction array.
-
-        :meth:`covering_directions` returns float angle arrays, so every
-        empty-fleet fallback must be float too — ``np.empty(0)`` happens
-        to default to ``float64`` today, but this helper makes the dtype
-        contract explicit and keeps all call sites identical.
-        """
-        return np.empty(0, dtype=float)
-
     def sensing_areas(self) -> np.ndarray:
         """Per-sensor sensing areas ``phi * r**2 / 2``."""
         return 0.5 * self._angles * self._radii**2
@@ -216,8 +207,8 @@ class SensorFleet:
         The hook the failure models in :mod:`repro.resilience` build on:
         orientation drift swaps headings, radius degradation swaps
         radii, and the constructor re-validates every invariant.  The
-        spatial index is not carried over (positions or radii may have
-        changed); rebuild it if needed.
+        cell index is not carried over (positions or radii may have
+        changed); the sparse kernel builds a fresh one on demand.
         """
         return SensorFleet(
             positions=self._positions if positions is None else positions,
@@ -248,63 +239,53 @@ class SensorFleet:
 
     # -- spatial index -------------------------------------------------------
 
-    def build_index(self, cell_size: Optional[float] = None) -> ToroidalCellIndex:
-        """Build (and cache) a spatial index over sensor positions.
+    def build_index(self) -> ToroidalCellIndex:
+        """Build (and cache) the sparse kernel's index over sensor positions.
 
-        The default cell size is half the maximum sensing radius: a
-        query at that radius then scans about 5x5 cells, about twice
-        the sensing disk's area.
+        Cells are half the maximum sensing radius: a query at that
+        radius then scans about 5x5 cells, about twice the sensing
+        disk's area.
         """
-        if cell_size is None:
-            cell_size = 0.5 * self._max_radius if self._max_radius > 0 else self.region.side
+        cell_size = 0.5 * self._max_radius if self._max_radius > 0 else self.region.side
         self._index = ToroidalCellIndex(self._positions, cell_size, self.region)
         return self._index
 
     @property
     def index(self) -> Optional[ToroidalCellIndex]:
+        """The cached index, or ``None`` before :meth:`build_index`."""
         return self._index
 
     # -- coverage queries -------------------------------------------------------
 
-    def covering(self, point: Point, use_index: bool = True) -> np.ndarray:
+    def covering(self, point: Point) -> np.ndarray:
         """Indices of sensors covering ``point`` under the sector model.
 
         A sensor ``S`` covers ``P`` when ``|PS| <= r_S`` and the bearing
         ``S -> P`` lies within ``phi_S / 2`` of the orientation of
-        ``S``.  A sensor exactly at ``P`` covers it.
+        ``S``.  A sensor exactly at ``P`` covers it.  Every sensor is
+        tested; the result is ascending.
         """
-        if len(self) == 0:
-            return np.empty(0, dtype=np.intp)
-        if use_index and self._index is not None:
-            candidates = self._index.candidates_within(point, self._max_radius)
-            if candidates.size == 0:
-                return candidates
-        else:
-            candidates = np.arange(len(self), dtype=np.intp)
-        pos = self._positions[candidates]
         # Displacement from sensor to point (the direction the sensor
         # must look along to see P).
-        delta = -self.region.displacements(point, pos)
+        delta = -self.region.displacements(point, self._positions)
         dist_sq = delta[:, 0] ** 2 + delta[:, 1] ** 2
-        within = dist_sq <= self._radii[candidates] ** 2
+        within = dist_sq <= self._radii**2
         if not within.any():
-            return candidates[:0]
+            return np.empty(0, dtype=np.intp)
         bearing = np.arctan2(delta[:, 1], delta[:, 0])
-        offset = np.abs(
-            np.mod(bearing - self._orientations[candidates] + math.pi, TWO_PI) - math.pi
-        )
-        in_wedge = offset <= self._half_angles[candidates] + _ANGLE_TOL
+        offset = np.abs(np.mod(bearing - self._orientations + math.pi, TWO_PI) - math.pi)
+        in_wedge = offset <= self._half_angles + _ANGLE_TOL
         at_apex = dist_sq <= _APEX_TOL_SQ
-        return candidates[within & (in_wedge | at_apex)]
+        return np.flatnonzero(within & (in_wedge | at_apex))
 
-    def covering_directions(self, point: Point, use_index: bool = True) -> np.ndarray:
+    def covering_directions(self, point: Point) -> np.ndarray:
         """Viewed directions ``P -> S`` of the sensors covering ``point``.
 
         Sensors coincident with the point are dropped (their viewed
         direction is undefined); under continuous random deployment this
         is a measure-zero event.
         """
-        idx = self.covering(point, use_index=use_index)
+        idx = self.covering(point)
         if idx.size == 0:
             return np.empty(0, dtype=float)
         delta = self.region.displacements(point, self._positions[idx])
@@ -315,16 +296,15 @@ class SensorFleet:
             return np.empty(0, dtype=float)
         return normalize_angle(np.arctan2(delta[:, 1], delta[:, 0]))
 
-    def coverage_count(self, point: Point, use_index: bool = True) -> int:
+    def coverage_count(self, point: Point) -> int:
         """Number of sensors covering ``point`` (for k-coverage checks)."""
-        return int(self.covering(point, use_index=use_index).size)
+        return int(self.covering(point).size)
 
-    def coverage_counts(self, points: np.ndarray, use_index: bool = True) -> np.ndarray:
+    def coverage_counts(self, points: np.ndarray) -> np.ndarray:
         """Vector of coverage counts for an ``(m, 2)`` array of points."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         return np.array(
-            [self.coverage_count((float(x), float(y)), use_index=use_index) for x, y in pts],
-            dtype=np.intp,
+            [self.coverage_count((float(x), float(y))) for x, y in pts], dtype=np.intp
         )
 
     # -- reporting ---------------------------------------------------------------

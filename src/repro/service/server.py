@@ -5,7 +5,10 @@ over the ``fullview-api-v1`` wire schema (:mod:`repro.api.schemas`).
 The request path is, in order:
 
 1. **Parse** — strict body validation; any contract violation is one
-   HTTP 400 ``ErrorBody``.
+   HTTP 400 ``ErrorBody``.  A malformed request head (a request line
+   without a target, a ``Content-Length`` that is not a decimal
+   count) or an oversize body is a 400 too, after which the
+   connection closes.
 2. **Cache** — the request's content address
    (:func:`repro.service.cache.cache_key`) is looked up in the
    two-tier :class:`~repro.service.cache.ResultCache`.  Memory hits
@@ -180,10 +183,6 @@ class CoverageService:
                 request_line = await reader.readline()
                 if not request_line:
                     break
-                parts = request_line.decode("latin-1").split()
-                if len(parts) < 2:
-                    break
-                method, target = parts[0].upper(), parts[1]
                 headers: Dict[str, str] = {}
                 while True:
                     line = await reader.readline()
@@ -191,18 +190,20 @@ class CoverageService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                # The head is read in full before any 400, so closing with
+                # unread head bytes cannot reset the answer away.
+                parts = request_line.decode("latin-1").split()
+                if len(parts) < 2:
+                    await self._refuse(writer, "malformed request line")
+                    break
+                method, target = parts[0].upper(), parts[1]
+                raw_length = headers.get("content-length", "0") or "0"
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    await self._refuse(writer, f"malformed Content-Length {raw_length!r}")
+                    break
+                length = int(raw_length)
                 if length > _MAX_BODY_BYTES:
-                    await self._respond(
-                        writer,
-                        400,
-                        ErrorBody(
-                            error=f"body exceeds {_MAX_BODY_BYTES} bytes",
-                            kind="SchemaError",
-                            status=400,
-                        ).to_wire(),
-                        keep_alive=False,
-                    )
+                    await self._refuse(writer, f"body exceeds {_MAX_BODY_BYTES} bytes")
                     break
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._route(method, target, body)
@@ -221,6 +222,11 @@ class CoverageService:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _refuse(self, writer: asyncio.StreamWriter, error: str) -> None:
+        """Answer a malformed request head with a 400 and close."""
+        payload = ErrorBody(error=error, kind="SchemaError", status=400).to_wire()
+        await self._respond(writer, 400, payload, keep_alive=False)
 
     async def _respond(
         self,

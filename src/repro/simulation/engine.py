@@ -74,6 +74,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -129,6 +130,13 @@ __all__ = [
 #: entire test suite without touching call sites.
 WORKERS_ENV_VAR = "FULLVIEW_WORKERS"
 
+#: The worker count an experiment run scopes over its runner
+#: (:meth:`repro.experiments.registry.Experiment.run` sets it): the
+#: default of every config that leaves ``workers`` unset, consulted
+#: before :data:`WORKERS_ENV_VAR`.  A context variable, so experiments
+#: run concurrently on different threads never see each other's value.
+_SCOPED_WORKERS: ContextVar[Optional[int]] = ContextVar("scoped_workers", default=None)
+
 #: A trial task: derive everything from ``rng``, return a small record.
 TrialTask = Callable[[int, np.random.Generator], Any]
 
@@ -156,7 +164,8 @@ class MonteCarloConfig:
         Workers for trial execution.  ``1`` runs serially, ``> 1``
         dispatches chunks to a thread or process pool (see
         :func:`executor_for`; bit-identical results by construction).
-        ``None`` — the default — falls back to the
+        ``None`` — the default — falls back to the worker count of
+        the experiment run in progress, then to the
         :data:`WORKERS_ENV_VAR` environment variable, else 1.
     """
 
@@ -201,14 +210,19 @@ class MonteCarloConfig:
             yield self.rng_for_trial(trial)
 
     def resolved_workers(self) -> int:
-        """The effective worker count (explicit field, else environment).
+        """The effective worker count.
 
-        An unset ``workers`` consults :data:`WORKERS_ENV_VAR`, so a CI
-        job can force ``workers=2`` across an entire run; a missing or
-        empty variable means serial execution.
+        The explicit field wins; an unset ``workers`` takes the count of
+        the experiment run in progress (``fullview run --workers N``),
+        then :data:`WORKERS_ENV_VAR`, so a CI job can force
+        ``workers=2`` across an entire run; with neither set, execution
+        is serial.
         """
         if self.workers is not None:
             return self.workers
+        scoped = _SCOPED_WORKERS.get()
+        if scoped is not None:
+            return scoped
         raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
         if not raw:
             return 1

@@ -97,7 +97,7 @@ def cases(fleet, points, edge_fleet):
 def scalar_directions(fleet, points):
     """The scalar reference's viewed directions, point by point."""
     return [
-        fleet.covering_directions((float(x), float(y)), use_index=False)
+        fleet.covering_directions((float(x), float(y)))
         for x, y in points
     ]
 
@@ -106,7 +106,7 @@ class TestCoveringMatrix:
     def test_matches_scalar_covering(self, fleet, points):
         covers, _ = covering_and_directions(fleet, points)
         for i, (x, y) in enumerate(points):
-            expected = set(fleet.covering((float(x), float(y)), use_index=False).tolist())
+            expected = set(fleet.covering((float(x), float(y))).tolist())
             actual = set(np.flatnonzero(covers[i]).tolist())
             assert actual == expected
 
@@ -114,7 +114,7 @@ class TestCoveringMatrix:
         covers, directions = covering_and_directions(fleet, points)
         for i, (x, y) in enumerate(points):
             expected = np.sort(
-                fleet.covering_directions((float(x), float(y)), use_index=False)
+                fleet.covering_directions((float(x), float(y)))
             )
             mask = covers[i] & ~np.isnan(directions[i])
             actual = np.sort(directions[i][mask])
@@ -145,7 +145,7 @@ class TestCoveringMatrix:
 class TestCoverageCounts:
     def test_matches_scalar(self, cases):
         for fleet, points in cases:
-            scalar = fleet.coverage_counts(points, use_index=False)
+            scalar = fleet.coverage_counts(points)
             for kernel in KERNELS:
                 batch = coverage_counts(fleet, points, kernel=kernel)
                 assert (batch == scalar).all(), kernel
@@ -181,7 +181,7 @@ class TestFullViewMask:
         )
         fleet = UniformDeployment().deploy(profile, 60, np.random.default_rng(11))
         for case in (fleet, edge_fleet):
-            dirs = case.covering_directions(probe, use_index=False)
+            dirs = case.covering_directions(probe)
             for kernel in KERNELS:
                 mask = full_view_mask(case, np.array([probe]), theta, kernel=kernel)
                 assert bool(mask[0]) == is_full_view_covered(dirs, theta), kernel
@@ -222,7 +222,7 @@ class TestFraction:
         theta = math.pi / 3
         for condition in ("exact", "necessary", "sufficient"):
             fast = coverage_fraction_fast(fleet, points, theta, condition)
-            slow = condition_fraction(fleet, points, theta, condition, use_index=False)
+            slow = condition_fraction(fleet, points, theta, condition)
             assert fast == pytest.approx(slow)
 
     def test_empty_points(self, fleet):

@@ -62,21 +62,17 @@ class TestPositions:
 
     def test_clustering_is_real(self, homogeneous_profile):
         """Nearest-neighbour distances shrink versus uniform placement."""
-        from repro.geometry.spatial import ToroidalCellIndex
         from repro.deployment.uniform import UniformDeployment
 
         def mean_nn(fleet):
             if len(fleet) < 2:
                 return np.nan
-            idx = ToroidalCellIndex(fleet.positions, 0.05)
             dists = []
             for i, (x, y) in enumerate(fleet.positions):
-                hits = idx.query((float(x), float(y)), 0.2)
-                hits = hits[hits != i]
-                if hits.size:
-                    dists.append(
-                        fleet.region.distances((float(x), float(y)), fleet.positions[hits]).min()
-                    )
+                others = fleet.region.distances((float(x), float(y)), fleet.positions)
+                others[i] = np.inf
+                if others.min() <= 0.2:
+                    dists.append(others.min())
             return np.mean(dists) if dists else np.nan
 
         clustered = MaternClusterDeployment(

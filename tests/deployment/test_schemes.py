@@ -172,13 +172,13 @@ class TestTriangularLattice:
 class TestLatticeVsRandomCoverage:
     def test_lattice_more_even_than_random(self, homogeneous_profile):
         """Lattice nearest-sensor distances have lower variance than random."""
-        from repro.geometry.spatial import ToroidalCellIndex
-
         probes = np.random.default_rng(1).uniform(size=(100, 2))
 
         def nearest_spread(fleet):
-            idx = ToroidalCellIndex(fleet.positions, 0.1)
-            dists = [idx.nearest((float(x), float(y)))[1] for x, y in probes]
+            dists = [
+                fleet.region.distances((float(x), float(y)), fleet.positions).min()
+                for x, y in probes
+            ]
             return np.var(dists)
 
         lattice = SquareLatticeDeployment().deploy(

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import all_experiments, get_experiment
 from repro.experiments.registry import Experiment, ExperimentResult, register
+from repro.simulation.engine import WORKERS_ENV_VAR, MonteCarloConfig
 from repro.simulation.results import ResultTable
 
 EXPECTED_IDS = {
@@ -95,3 +98,28 @@ class TestExperimentResult:
         )
         with pytest.raises(ExperimentError):
             exp.run()
+
+    def test_run_scopes_workers_to_its_call_and_thread(self, monkeypatch):
+        # The runner builds its configs without a worker count; the run's
+        # count reaches them, an explicit count still wins, and neither
+        # another thread nor the caller after the run sees it.
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        seen = {}
+
+        def other_thread():
+            seen["other_thread"] = MonteCarloConfig().resolved_workers()
+
+        def runner(fast, seed):
+            seen["inside"] = MonteCarloConfig().resolved_workers()
+            seen["pinned"] = MonteCarloConfig(workers=1).resolved_workers()
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            return ExperimentResult(experiment_id="A", title="t")
+
+        Experiment(experiment_id="A", title="t", paper_artifact="p", runner=runner).run(
+            workers=3
+        )
+        assert seen == {"inside": 3, "pinned": 1, "other_thread": 1}
+        assert MonteCarloConfig().resolved_workers() == 1

@@ -15,9 +15,26 @@ coords = st.floats(min_value=0.0, max_value=0.999999, allow_nan=False)
 wide = st.floats(min_value=-0.3, max_value=1.3, allow_nan=False)
 
 
-def brute_force_query(points, probe, radius, region):
-    dists = region.distances(probe, points)
-    return set(np.flatnonzero(dists <= radius).tolist())
+def rows(indptr, indices):
+    return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(len(indptr) - 1)]
+
+
+def within_squared(points, probe, radius, region):
+    """Ids passing the kernels' exact test: ``dist² <= r²`` under
+    ``Region.displacements`` of the raw coordinates."""
+    delta = region.displacements(probe, points)
+    return set(np.flatnonzero(delta[:, 0] ** 2 + delta[:, 1] ** 2 <= radius**2).tolist())
+
+
+def assert_superset(points, probes, radius, cell, region=UNIT_TORUS):
+    """Batch rows hold every pair the kernels' exact test keeps."""
+    points = np.asarray(points, dtype=float)
+    probes = np.asarray(probes, dtype=float)
+    idx = ToroidalCellIndex(points, cell_size=cell, region=region)
+    indptr, indices = idx.query_radius_batch(probes, radius)
+    for probe, row in zip(map(tuple, probes), rows(indptr, indices)):
+        missing = within_squared(points, probe, radius, region) - set(row)
+        assert not missing, (probe, radius, cell, points[sorted(missing)])
 
 
 class TestConstruction:
@@ -32,7 +49,7 @@ class TestConstruction:
     def test_empty(self):
         idx = ToroidalCellIndex(np.empty((0, 2)), 0.1)
         assert len(idx) == 0
-        assert idx.query((0.5, 0.5), 0.2).size == 0
+        assert idx.query_radius_batch(np.array([[0.5, 0.5]]), 0.2)[1].size == 0
 
     def test_points_wrapped(self):
         idx = ToroidalCellIndex(np.array([[1.3, -0.2]]), 0.1)
@@ -45,48 +62,47 @@ class TestConstruction:
         points = rng.uniform(size=(10, 2))
         idx = ToroidalCellIndex(points, cell_size=1e-4, region=region)
         assert idx._cells_per_side**2 <= 100
-        for probe in [(0.5, 0.5), (0.01, 0.99), (0.0, 0.0)]:
-            for radius in (1e-4, 0.05, 0.3):
-                expected = brute_force_query(points, probe, radius, region)
-                assert set(idx.query(probe, radius).tolist()) == expected
+        for radius in (1e-4, 0.05, 0.3):
+            assert_superset(points, [(0.5, 0.5), (0.01, 0.99), (0.0, 0.0)], radius, 1e-4, region)
+
+
+def brute_force_query(points, probe, radius, region):
+    dists = region.distances(probe, points)
+    return set(np.flatnonzero(dists <= radius).tolist())
+
+
+def query(idx, probe, radius):
+    """One probe's candidate row, refined by the region's distance test
+    the way the sparse kernel refines it."""
+    _, row = idx.query_radius_batch(np.array([probe], dtype=float), radius)
+    dists = idx.region.distances(probe, idx.points[row])
+    return set(row[dists <= radius].tolist())
 
 
 class TestQuery:
+    """A single probe's row, refined exactly, is the brute-force set."""
+
     def test_matches_brute_force_basic(self, rng):
         points = rng.uniform(size=(200, 2))
         idx = ToroidalCellIndex(points, cell_size=0.1)
         for probe in [(0.5, 0.5), (0.01, 0.99), (0.0, 0.0)]:
-            expected = brute_force_query(points, probe, 0.15, UNIT_TORUS)
-            actual = set(idx.query(probe, 0.15).tolist())
-            assert actual == expected
-
-    def test_query_radius_larger_than_cell(self, rng):
-        points = rng.uniform(size=(100, 2))
-        idx = ToroidalCellIndex(points, cell_size=0.05)
-        expected = brute_force_query(points, (0.3, 0.3), 0.3, UNIT_TORUS)
-        assert set(idx.query((0.3, 0.3), 0.3).tolist()) == expected
+            assert query(idx, probe, 0.15) == brute_force_query(points, probe, 0.15, UNIT_TORUS)
 
     def test_query_spanning_whole_region(self, rng):
         points = rng.uniform(size=(50, 2))
         idx = ToroidalCellIndex(points, cell_size=0.2)
-        hits = idx.query((0.5, 0.5), 1.0)
-        assert hits.size == 50
+        assert query(idx, (0.5, 0.5), 1.0) == set(range(50))
 
     def test_bounded_square(self, rng):
         points = rng.uniform(size=(100, 2))
         idx = ToroidalCellIndex(points, cell_size=0.1, region=UNIT_SQUARE)
         probe = (0.02, 0.02)
-        expected = brute_force_query(points, probe, 0.15, UNIT_SQUARE)
-        assert set(idx.query(probe, 0.15).tolist()) == expected
+        assert query(idx, probe, 0.15) == brute_force_query(points, probe, 0.15, UNIT_SQUARE)
 
     def test_negative_radius_raises(self, rng):
         idx = ToroidalCellIndex(rng.uniform(size=(10, 2)), 0.1)
         with pytest.raises(InvalidParameterError):
-            idx.query((0.5, 0.5), -0.1)
-
-    def test_zero_radius_exact_hit(self):
-        idx = ToroidalCellIndex(np.array([[0.5, 0.5]]), 0.1)
-        assert idx.query((0.5, 0.5), 0.0).tolist() == [0]
+            idx.query_radius_batch(np.array([[0.5, 0.5]]), -0.1)
 
     @given(
         st.lists(st.tuples(coords, coords), min_size=1, max_size=60),
@@ -98,56 +114,43 @@ class TestQuery:
     def test_matches_brute_force_property(self, pts, probe, radius, cell):
         points = np.array(pts)
         idx = ToroidalCellIndex(points, cell_size=cell)
-        expected = brute_force_query(points, probe, radius, UNIT_TORUS)
-        actual = set(idx.query(probe, radius).tolist())
-        assert actual == expected
+        assert query(idx, probe, radius) == brute_force_query(points, probe, radius, UNIT_TORUS)
 
 
 class TestCandidates:
     def test_superset_of_query(self, rng):
+        # The row holds every hit and nothing beyond the reachable
+        # cells: on each axis, at most one cell past the radius.
         points = rng.uniform(size=(150, 2))
         idx = ToroidalCellIndex(points, cell_size=0.12)
-        hits = set(idx.query((0.4, 0.6), 0.12).tolist())
-        candidates = set(idx.candidates_within((0.4, 0.6), 0.12).tolist())
-        assert hits <= candidates
+        probe = (0.4, 0.6)
+        _, row = idx.query_radius_batch(np.array([probe]), 0.12)
+        assert query(idx, probe, 0.12) <= set(row.tolist())
+        reach = np.abs(UNIT_TORUS.displacements(probe, idx.points[row]))
+        assert np.all(reach <= 0.12 + idx._cell_size + 1e-12)
 
 
 class TestQueryRadiusBatch:
-    def _rows(self, indptr, indices):
-        return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(len(indptr) - 1)]
-
-    def test_matches_scalar_query(self, rng):
-        points = rng.uniform(size=(200, 2))
-        idx = ToroidalCellIndex(points, cell_size=0.1)
-        probes = rng.uniform(size=(40, 2))
-        indptr, indices = idx.query_radius_batch(probes, 0.15)
-        assert indptr.shape == (41,)
-        assert indptr[-1] == indices.shape[0]
-        for i, row in enumerate(self._rows(indptr, indices)):
-            assert row == idx.query(tuple(probes[i]), 0.15).tolist()
-
-    def test_unrefined_matches_candidates_within(self, rng):
-        points = rng.uniform(size=(150, 2))
-        idx = ToroidalCellIndex(points, cell_size=0.12)
-        probes = rng.uniform(size=(25, 2))
-        indptr, indices = idx.query_radius_batch(probes, 0.12, refine=False)
-        for i, row in enumerate(self._rows(indptr, indices)):
-            assert row == idx.candidates_within(tuple(probes[i]), 0.12).tolist()
+    """Rows are candidate supersets: every point within the radius is in
+    its probe's row, sorted and unique; the caller refines."""
 
     def test_wrap_seam_probes(self, rng):
-        points = rng.uniform(size=(120, 2))
-        idx = ToroidalCellIndex(points, cell_size=0.1)
-        probes = np.array([[0.0, 0.0], [0.999, 0.001], [0.001, 0.999], [0.999, 0.999]])
-        indptr, indices = idx.query_radius_batch(probes, 0.2)
-        for i, row in enumerate(self._rows(indptr, indices)):
-            expected = brute_force_query(points, tuple(probes[i]), 0.2, UNIT_TORUS)
-            assert set(row) == expected
+        probes = [(0.0, 0.0), (0.999, 0.001), (0.001, 0.999), (0.999, 0.999)]
+        assert_superset(rng.uniform(size=(120, 2)), probes, 0.2, 0.1)
+
+    def test_radius_larger_than_cell(self, rng):
+        assert_superset(rng.uniform(size=(100, 2)), [(0.3, 0.3), (0.02, 0.97)], 0.3, 0.05)
+
+    def test_zero_radius_exact_hit(self):
+        idx = ToroidalCellIndex(np.array([[0.5, 0.5]]), 0.1)
+        indptr, indices = idx.query_radius_batch(np.array([[0.5, 0.5]]), 0.0)
+        assert indices.tolist() == [0]
 
     def test_radius_spanning_whole_region(self, rng):
         points = rng.uniform(size=(30, 2))
         idx = ToroidalCellIndex(points, cell_size=0.2)
-        indptr, indices = idx.query_radius_batch(rng.uniform(size=(5, 2)), 1.0, refine=False)
-        for row in self._rows(indptr, indices):
+        indptr, indices = idx.query_radius_batch(rng.uniform(size=(5, 2)), 1.0)
+        for row in rows(indptr, indices):
             assert row == list(range(30))
 
     def test_empty_probe_set(self, rng):
@@ -163,13 +166,8 @@ class TestQueryRadiusBatch:
         assert indices.size == 0
 
     def test_bounded_square(self, rng):
-        points = rng.uniform(size=(100, 2))
-        idx = ToroidalCellIndex(points, cell_size=0.1, region=UNIT_SQUARE)
-        probes = np.array([[0.02, 0.02], [0.98, 0.5], [0.5, 0.5]])
-        indptr, indices = idx.query_radius_batch(probes, 0.15)
-        for i, row in enumerate(self._rows(indptr, indices)):
-            expected = brute_force_query(points, tuple(probes[i]), 0.15, UNIT_SQUARE)
-            assert set(row) == expected
+        probes = [(0.02, 0.02), (0.98, 0.5), (0.5, 0.5)]
+        assert_superset(rng.uniform(size=(100, 2)), probes, 0.15, 0.1, UNIT_SQUARE)
 
     def test_negative_radius_raises(self, rng):
         idx = ToroidalCellIndex(rng.uniform(size=(10, 2)), 0.1)
@@ -179,8 +177,9 @@ class TestQueryRadiusBatch:
     def test_rows_sorted_and_unique(self, rng):
         points = rng.uniform(size=(300, 2))
         idx = ToroidalCellIndex(points, cell_size=0.07)
-        indptr, indices = idx.query_radius_batch(rng.uniform(size=(50, 2)), 0.11, refine=False)
-        for row in self._rows(indptr, indices):
+        indptr, indices = idx.query_radius_batch(rng.uniform(size=(50, 2)), 0.11)
+        assert indptr.shape == (51,) and indptr[-1] == indices.shape[0]
+        for row in rows(indptr, indices):
             assert row == sorted(set(row))
 
     @given(
@@ -191,31 +190,7 @@ class TestQueryRadiusBatch:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_brute_force_property(self, pts, probes, radius, cell):
-        points = np.array(pts)
-        idx = ToroidalCellIndex(points, cell_size=cell)
-        indptr, indices = idx.query_radius_batch(np.array(probes), radius)
-        for i, row in enumerate(self._rows(indptr, indices)):
-            assert set(row) == brute_force_query(points, probes[i], radius, UNIT_TORUS)
-
-
-def within_squared(points, probe, radius, region):
-    """Ids passing the kernels' exact test: ``dist² <= r²`` under
-    ``Region.displacements`` of the raw coordinates."""
-    delta = region.displacements(probe, points)
-    return set(np.flatnonzero(delta[:, 0] ** 2 + delta[:, 1] ** 2 <= radius**2).tolist())
-
-
-def assert_superset(points, probes, radius, cell, region):
-    """Unrefined batch rows hold every exact pair and equal the scalar rows."""
-    points = np.asarray(points, dtype=float)
-    probes = np.asarray(probes, dtype=float)
-    idx = ToroidalCellIndex(points, cell_size=cell, region=region)
-    indptr, indices = idx.query_radius_batch(probes, radius, refine=False)
-    for i, probe in enumerate(map(tuple, probes)):
-        row = indices[indptr[i] : indptr[i + 1]].tolist()
-        missing = within_squared(points, probe, radius, region) - set(row)
-        assert not missing, (probe, radius, cell, points[sorted(missing)])
-        assert row == idx.candidates_within(probe, radius).tolist()
+        assert_superset(pts, probes, radius, cell)
 
 
 def lattice(step):
@@ -224,8 +199,8 @@ def lattice(step):
 
 
 class TestSupersetAdversarial:
-    """The unrefined rows are a superset of every pair the sparse kernels'
-    exact ``dist² <= r²`` test keeps, where float rounding bites."""
+    """The rows are a superset of every pair the sparse kernels' exact
+    ``dist² <= r²`` test keeps, where float rounding bites."""
 
     @pytest.mark.parametrize("region", [UNIT_TORUS, UNIT_SQUARE])
     @pytest.mark.parametrize("cell", [0.05, 0.1, 0.125, 0.2, 1 / 3])
@@ -289,33 +264,3 @@ class TestSupersetAdversarial:
     @settings(max_examples=100, deadline=None)
     def test_bounded_square_property(self, pts, probes, radius, cell):
         assert_superset(pts, probes, radius, cell, UNIT_SQUARE)
-
-
-class TestNearest:
-    def test_simple(self):
-        points = np.array([[0.1, 0.1], [0.9, 0.9]])
-        idx = ToroidalCellIndex(points, cell_size=0.1)
-        i, d = idx.nearest((0.12, 0.1))
-        assert i == 0
-        assert d == pytest.approx(0.02)
-
-    def test_wraps(self):
-        points = np.array([[0.02, 0.5], [0.5, 0.5]])
-        idx = ToroidalCellIndex(points, cell_size=0.1)
-        i, d = idx.nearest((0.98, 0.5))
-        assert i == 0
-        assert d == pytest.approx(0.04)
-
-    def test_empty_raises(self):
-        idx = ToroidalCellIndex(np.empty((0, 2)), 0.1)
-        with pytest.raises(ValueError):
-            idx.nearest((0.5, 0.5))
-
-    @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=40), st.tuples(coords, coords))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_brute_force(self, pts, probe):
-        points = np.array(pts)
-        idx = ToroidalCellIndex(points, cell_size=0.15)
-        _, d = idx.nearest(probe)
-        expected = UNIT_TORUS.distances(probe, points).min()
-        assert d == pytest.approx(float(expected), abs=1e-12)

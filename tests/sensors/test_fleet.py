@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.conditions import condition_fraction
+from repro.core.kcoverage import k_coverage_fraction
 from repro.errors import InvalidParameterError
 from repro.geometry.angles import TWO_PI, angular_distance
+from repro.geometry.spatial import ToroidalCellIndex
 from repro.geometry.torus import UNIT_TORUS
 from repro.sensors.fleet import SensorFleet, fleet_from_profile_arrays
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
@@ -110,13 +113,26 @@ class TestCovering:
             actual = set(small_fleet.covering(point).tolist())
             assert actual == expected
 
-    def test_index_does_not_change_results(self, small_fleet, rng):
-        probes = rng.uniform(size=(20, 2))
+    def test_scalar_queries_never_read_the_index(self, small_fleet, rng, monkeypatch):
+        # The per-point queries are the brute-force reference: with the
+        # fleet's cell index built but unusable, every one still answers.
+        def unusable(index, points, radius):
+            raise AssertionError("a per-point query read the cell index")
+
+        assert small_fleet.index is not None
+        monkeypatch.setattr(ToroidalCellIndex, "_candidates", unusable)
+        probes = rng.uniform(size=(10, 2))
+        counts = []
         for probe in probes:
             point = (float(probe[0]), float(probe[1]))
-            with_index = set(small_fleet.covering(point, use_index=True).tolist())
-            without = set(small_fleet.covering(point, use_index=False).tolist())
-            assert with_index == without
+            expected = [i for i in range(len(small_fleet)) if small_fleet.sensor(i).contains(point)]
+            assert small_fleet.covering(point).tolist() == expected
+            assert small_fleet.covering_directions(point).size <= len(expected)
+            assert small_fleet.coverage_count(point) == len(expected)
+            counts.append(len(expected))
+        assert small_fleet.coverage_counts(probes).tolist() == counts
+        assert 0.0 <= condition_fraction(small_fleet, probes, math.pi / 3, "exact") <= 1.0
+        assert k_coverage_fraction(small_fleet, probes, 1) == np.mean(np.array(counts) >= 1)
 
     @given(
         st.lists(st.tuples(coords, coords, st.floats(min_value=0, max_value=TWO_PI)), min_size=1, max_size=30),

@@ -27,8 +27,8 @@ class TestRoundTrip:
         path = save_fleet(small_fleet, tmp_path / "fleet.npz")
         loaded = load_fleet(path)
         for probe in [(0.5, 0.5), (0.1, 0.9), (0.99, 0.01)]:
-            a = set(small_fleet.covering(probe, use_index=False).tolist())
-            b = set(loaded.covering(probe, use_index=False).tolist())
+            a = set(small_fleet.covering(probe).tolist())
+            b = set(loaded.covering(probe).tolist())
             assert a == b
 
     def test_region_preserved(self, tmp_path):

@@ -10,6 +10,7 @@ rather than by racing real Monte-Carlo timings.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -90,6 +91,35 @@ class TestRouting:
             assert status == 400
             assert reply["kind"] == "SchemaError"
             assert "kernel" in reply["error"]
+
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"POST /v1/estimate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            b"POST /v1/estimate HTTP/1.1\r\nContent-Length: -3\r\n\r\n",
+            b"GARBAGE\r\n\r\n",
+        ],
+        ids=["length-not-a-number", "length-negative", "one-field-request-line"],
+    )
+    def test_malformed_request_head_is_400(self, head):
+        async def main():
+            service = await started()
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            writer.write(head)
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            health = await http_request(service.port, "GET", "/v1/healthz")
+            await service.stop()
+            return answer, health
+
+        answer, health = run(main())
+        status_line, _, rest = answer.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        reply = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert reply["kind"] == "SchemaError" and reply["status"] == 400
+        assert health[0] == 200
 
 
 class TestComputePath:

@@ -84,8 +84,8 @@ class TestPointProbabilityTask:
         scheme = UniformDeployment()
         point = (0.5, 0.5)
         fleet = scheme.deploy(profile, 120, np.random.default_rng(3))
-        count = fleet.coverage_count(point, use_index=False)
-        dirs = fleet.covering_directions(point, use_index=False)
+        count = fleet.coverage_count(point)
+        dirs = fleet.covering_directions(point)
 
         def verdict(condition, k=1):
             task = PointProbabilityTask(
@@ -249,7 +249,7 @@ class _Empty(UniformDeployment):
 
 def _scalar_chain(fleet, point, theta):
     """Slow reference: scalar covering directions, one predicate each."""
-    directions = fleet.covering_directions(point, use_index=False)
+    directions = fleet.covering_directions(point)
     return (
         bool(necessary_condition_holds(directions, theta)),
         bool(is_full_view_covered(directions, theta)),

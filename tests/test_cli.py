@@ -50,13 +50,18 @@ class TestRun:
     def test_run_seed_flag(self, capsys):
         assert main(["run", "EQ19", "--seed", "3"]) == 0
 
-    def test_run_workers_flag(self, capsys):
+    def test_run_workers_flag(self, tmp_path, capsys):
         # The backend is picked per task; the tables must be what the
-        # serial run prints (bit-identity).
+        # serial run prints (bit-identity), and the flag must reach the
+        # runner's sweeps, which it builds without a worker count.
         assert main(["run", "EQ19"]) == 0
         serial = capsys.readouterr().out
-        assert main(["run", "EQ19", "--workers", "2"]) == 0
+        metrics = tmp_path / "metrics.json"
+        assert main(["run", "EQ19", "--workers", "2", "--metrics", str(metrics)]) == 0
         assert capsys.readouterr().out == serial
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters.get("executor_selected_thread", 0) > 0
+        assert "executor_selected_serial" not in counters
 
 
 class TestFigures:

@@ -51,9 +51,9 @@ class TestApexEpsilon:
             angles=np.array([1.0]),
         )
         point = (4.4989204517465445e-17, 7.00665346415799e-17)
-        assert fleet.covering(point, use_index=False).tolist() == [0]
+        assert fleet.covering(point).tolist() == [0]
         # And the bearing-less sensor contributes no viewed direction.
-        assert fleet.covering_directions(point, use_index=False).size == 0
+        assert fleet.covering_directions(point).size == 0
 
 
 class TestSectorAreaOverflow:

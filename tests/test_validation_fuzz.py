@@ -154,7 +154,7 @@ class TestFleetFuzz:
             radii=np.array([0.2, 0.2]),
             angles=np.array([1.0, 1.0]),
         )
-        covering = fleet.covering((0.5, 0.5), use_index=False)
+        covering = fleet.covering((0.5, 0.5))
         # The NaN sensor can never cover anything; the valid one obeys
         # plain geometry.
         assert 0 not in covering.tolist()
