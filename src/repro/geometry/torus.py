@@ -147,12 +147,6 @@ class Region:
         sources = np.asarray(sources, dtype=float)
         return self.displacements(sources[:, None, :], targets)
 
-    def max_distance(self) -> float:
-        """Largest possible distance between two points in the region."""
-        if self.torus:
-            return 0.5 * self.side * math.sqrt(2.0)
-        return self.side * math.sqrt(2.0)
-
 
 #: The paper's operational region: the unit torus.
 UNIT_TORUS = Region(side=1.0, torus=True)

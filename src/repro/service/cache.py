@@ -10,9 +10,13 @@ computation — however they were spelled — share one cache entry; a new
 code revision gets a fresh namespace for free.
 
 :class:`ResultCache` layers a process-local dict over an optional
-on-disk store.  Disk entries are ``fullview-cache-v1`` JSON envelopes
-written through :func:`repro.ioutil.write_json_atomic` (fsync before
-rename) and checksum-stamped, so a torn or hand-edited entry fails
+on-disk store.  The memory tier holds each result's JSON encoding,
+made exactly once — by :meth:`ResultCache.put` or when a disk entry is
+promoted — so the service answers a hit by splicing those bytes into
+its envelope instead of encoding the result again.  Disk entries are
+``fullview-cache-v1`` JSON envelopes around the result object, written
+through :func:`repro.ioutil.write_json_atomic` (fsync before rename)
+and checksum-stamped, so a torn or hand-edited entry fails
 verification and is treated as a miss rather than served as truth.
 Disk hits are promoted into memory, which is what lets the service
 ledger count a persistent-cache hit exactly once per process.
@@ -63,8 +67,19 @@ def cache_key(request: WireBody, git_sha: Optional[str] = None) -> str:
     )
 
 
+def _encode(result: Any) -> bytes:
+    # Default separators: the same bytes ``json.dumps`` of the whole
+    # response envelope would put after its ``"result": ``.
+    return json.dumps(result).encode("utf-8")
+
+
 class ResultCache:
     """Two-tier (memory over optional disk) content-addressed cache.
+
+    Memory holds each result's UTF-8 JSON encoding; disk holds the
+    result object inside a checksummed envelope.  Floats round-trip
+    through ``repr``, so re-encoding a disk entry's parsed result gives
+    the bytes the computing process encoded.
 
     Not safe for concurrent mutation from multiple threads; the service
     only touches it from the event-loop thread.  Distinct *processes*
@@ -73,7 +88,7 @@ class ResultCache:
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
-        self._memory: Dict[str, Any] = {}
+        self._memory: Dict[str, bytes] = {}
         self._dir: Optional[Path] = None
         if cache_dir is not None:
             self._dir = Path(cache_dir)
@@ -95,16 +110,19 @@ class ResultCache:
         assert self._dir is not None
         return self._dir / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Tuple[Optional[Any], Optional[str]]:
-        """Look up ``key``; returns ``(result, tier)``.
+    def get(self, key: str) -> Tuple[Optional[bytes], Optional[str]]:
+        """Look up ``key``; returns ``(encoded result, tier)``.
 
         ``tier`` is ``"memory"`` or ``"disk"`` on a hit and ``None`` on
-        a miss.  A disk entry that fails JSON parsing, checksum
+        a miss.  A memory hit is one dict lookup.  A disk hit parses and
+        verifies the entry, encodes its result once and promotes the
+        bytes to memory.  A disk entry that fails JSON parsing, checksum
         verification or format matching is silently a miss — corruption
         must never be served as a result.
         """
-        if key in self._memory:
-            return self._memory[key], "memory"
+        encoded = self._memory.get(key)
+        if encoded is not None:
+            return encoded, "memory"
         if self._dir is None:
             return None, None
         path = self._entry_path(key)
@@ -119,19 +137,25 @@ class ResultCache:
             or not verify_checksum(envelope)
         ):
             return None, None
-        result = envelope.get("result")
-        self._memory[key] = result
-        return result, "disk"
+        encoded = _encode(envelope.get("result"))
+        self._memory[key] = encoded
+        return encoded, "disk"
 
-    def put(self, key: str, result: Any) -> None:
-        """Store ``result`` under ``key`` in memory and (if set) on disk."""
-        self._memory[key] = result
-        if self._dir is None:
-            return
-        envelope = stamp_checksum(
-            {"format": CACHE_FORMAT, "key": key, "result": result}
-        )
-        write_json_atomic(self._entry_path(key), envelope)
+    def put(self, key: str, result: Any) -> bytes:
+        """Store ``result`` under ``key``; returns its encoding.
+
+        The result is encoded once, into memory.  With a directory the
+        ``fullview-cache-v1`` envelope around the result object (its
+        checksum taken over that object) is written to disk as well.
+        """
+        encoded = _encode(result)
+        self._memory[key] = encoded
+        if self._dir is not None:
+            envelope = stamp_checksum(
+                {"format": CACHE_FORMAT, "key": key, "result": result}
+            )
+            write_json_atomic(self._entry_path(key), envelope)
+        return encoded
 
     def __len__(self) -> int:
         return len(self._memory)

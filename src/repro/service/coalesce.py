@@ -3,10 +3,12 @@
 When N clients ask the coverage service the same question at the same
 moment, exactly one engine run should happen: the first request to
 arrive becomes the *leader* and computes; the other N-1 become
-*followers* and await the leader's future.  Keys are the same content
-addresses the result cache uses, so "identical" means identical in
-the canonical-digest sense — spelling differences never split a
-computation.
+*followers* and await the leader's future.  The future carries the
+result already encoded (the bytes the result cache stores), so the
+followers' answers splice it and none encodes it again.  Keys are the
+same content addresses the result cache uses, so "identical" means
+identical in the canonical-digest sense — spelling differences never
+split a computation.
 
 The :class:`Coalescer` is event-loop-local state: every method must be
 called from the loop thread, which is why there are no locks — the
@@ -45,7 +47,10 @@ class Coalescer:
         return True, future
 
     def resolve(self, key: str, result: Any) -> None:
-        """Deliver ``result`` to every waiter and retire the key."""
+        """Deliver ``result`` to every waiter and retire the key.
+
+        The service resolves with the result's JSON encoding.
+        """
         future = self._inflight.pop(key, None)
         if future is not None and not future.done():
             future.set_result(result)

@@ -7,23 +7,27 @@ The request path is, in order:
 1. **Parse** — strict body validation; any contract violation is one
    HTTP 400 ``ErrorBody``.  A malformed request head (a request line
    without a target, a ``Content-Length`` that is not a decimal
-   count) or an oversize body is a 400 too, after which the
-   connection closes.
+   count, a line over the 64 KiB stream limit) or an oversize body is
+   a 400 too, after which the connection closes.
 2. **Cache** — the request's content address
    (:func:`repro.service.cache.cache_key`) is looked up in the
-   two-tier :class:`~repro.service.cache.ResultCache`.  Memory hits
-   answer immediately; disk hits additionally append one
-   ``outcome="cached"`` ledger row (once per key per process, because
-   the entry is promoted to memory).
+   two-tier :class:`~repro.service.cache.ResultCache`, whose memory
+   tier holds each result already encoded.  A memory hit is answered
+   by splicing those bytes into the envelope (:meth:`CoverageService.
+   _envelope`), so it never re-encodes the result; a disk hit
+   additionally appends one ``outcome="cached"`` ledger row (once per
+   key per process, because the entry is promoted to memory).
 3. **Coalesce** — on a miss, concurrent identical requests share one
    future (:class:`~repro.service.coalesce.Coalescer`): the leader
-   computes, the other N-1 wait and bump ``service_coalesced``.
+   computes, the other N-1 wait for its encoded result and bump
+   ``service_coalesced``.
 4. **Backpressure** — a leader that would push the number of pending
    computations past ``queue_limit`` is refused with HTTP 503
    (``service_rejections``), keeping the worker pool's queue bounded.
 5. **Compute** — the leader runs the job in a thread pool through the
-   engine, inside a ``service.<endpoint>`` trace span, then caches,
-   resolves followers and appends an ``outcome="ok"`` ledger row.
+   engine, inside a ``service.<endpoint>`` trace span, then caches
+   (the one encode of the result), resolves followers and appends an
+   ``outcome="ok"`` ledger row.
    Only misses append ok/error rows, so ledger throughput numbers
    count real engine runs.
 
@@ -77,6 +81,25 @@ _REASONS = {
 
 #: Largest request body the server will read, in bytes.
 _MAX_BODY_BYTES = 1 << 20
+
+#: Longest request-head line, in bytes (asyncio's default stream limit).
+_HEAD_LINE_LIMIT = 1 << 16
+
+
+def _encode(payload: Any) -> bytes:
+    """A small JSON body (status, schema, stats, errors) as wire bytes."""
+    return json.dumps(payload).encode("utf-8")
+
+
+def _error(status: int, error: str, kind: str) -> Tuple[int, bytes]:
+    """An encoded ``ErrorBody`` answer."""
+    return status, _encode(ErrorBody(error=error, kind=kind, status=status).to_wire())
+
+
+def _failure(exc: Exception) -> Tuple[int, bytes]:
+    """A job's exception as an answer: 400 for a ``FullViewError``, else 500."""
+    status = 400 if isinstance(exc, FullViewError) else 500
+    return _error(status, str(exc), type(exc).__name__)
 
 
 class CoverageService:
@@ -145,7 +168,9 @@ class CoverageService:
             max_workers=self.service_workers,
             thread_name_prefix="fullview-svc",
         )
-        self._server = await asyncio.start_server(self._serve_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._serve_connection, host, port, limit=_HEAD_LINE_LIMIT
+        )
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
 
@@ -180,16 +205,24 @@ class CoverageService:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
+                try:
+                    request_line = await reader.readline()
+                    if not request_line:
                         break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                    headers: Dict[str, str] = {}
+                    while True:
+                        line = await reader.readline()
+                        if line in (b"\r\n", b"\n", b""):
+                            break
+                        name, _, value = line.decode("latin-1").partition(":")
+                        headers[name.strip().lower()] = value.strip()
+                except ValueError:
+                    # readline() dropped a line over the stream limit.
+                    await self._skip_head(reader)
+                    await self._refuse(
+                        writer, f"request head line exceeds {_HEAD_LINE_LIMIT} bytes"
+                    )
+                    break
                 # The head is read in full before any 400, so closing with
                 # unread head bytes cannot reset the answer away.
                 parts = request_line.decode("latin-1").split()
@@ -206,12 +239,12 @@ class CoverageService:
                     await self._refuse(writer, f"body exceeds {_MAX_BODY_BYTES} bytes")
                     break
                 body = await reader.readexactly(length) if length else b""
-                status, payload = await self._route(method, target, body)
+                status, reply = await self._route(method, target, body)
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                     and not self._draining
                 )
-                await self._respond(writer, status, payload, keep_alive=keep_alive)
+                await self._respond(writer, status, reply, keep_alive=keep_alive)
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -223,20 +256,37 @@ class CoverageService:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _skip_head(reader: asyncio.StreamReader) -> None:
+        """Read what is left of an overlong head, up to the body cap.
+
+        Closing with unread head bytes could reset the 400 away.  Each
+        line readline() refuses drops at least ``_HEAD_LINE_LIMIT`` bytes.
+        """
+        budget = _MAX_BODY_BYTES
+        while budget > 0:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                budget -= _HEAD_LINE_LIMIT
+                continue
+            if line in (b"\r\n", b"\n", b""):
+                return
+            budget -= len(line)
+
     async def _refuse(self, writer: asyncio.StreamWriter, error: str) -> None:
         """Answer a malformed request head with a 400 and close."""
-        payload = ErrorBody(error=error, kind="SchemaError", status=400).to_wire()
-        await self._respond(writer, 400, payload, keep_alive=False)
+        status, body = _error(400, error, "SchemaError")
+        await self._respond(writer, status, body, keep_alive=False)
 
     async def _respond(
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Any,
+        body: bytes,
         *,
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
         connection = "keep-alive" if keep_alive else "close"
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -249,90 +299,74 @@ class CoverageService:
 
     async def _route(
         self, method: str, target: str, body: bytes
-    ) -> Tuple[int, Any]:
+    ) -> Tuple[int, bytes]:
         path = target.split("?", 1)[0]
         if path == "/v1/healthz":
             if method != "GET":
                 return self._method_not_allowed(method, path)
-            return 200, {"status": "ok", "schema": API_SCHEMA}
+            return 200, _encode({"status": "ok", "schema": API_SCHEMA})
         if path == "/v1/schema":
             if method != "GET":
                 return self._method_not_allowed(method, path)
-            return 200, describe_schema()
+            return 200, _encode(describe_schema())
         if path == "/v1/stats":
             if method != "GET":
                 return self._method_not_allowed(method, path)
-            return 200, {
+            return 200, _encode({
                 "schema": API_SCHEMA,
                 "pending": self._pending,
                 "inflight_keys": len(self.coalescer),
                 "cache_entries": len(self.cache),
                 "metrics": self.metrics.snapshot(),
-            }
+            })
         if path.startswith("/v1/"):
             endpoint = path[len("/v1/"):]
             if endpoint in REQUEST_TYPES:
                 if method != "POST":
                     return self._method_not_allowed(method, path)
                 return await self._handle_compute(endpoint, body)
-        return 404, ErrorBody(
-            error=f"no route for {path}", kind="ServiceError", status=404
-        ).to_wire()
+        return _error(404, f"no route for {path}", "ServiceError")
 
     @staticmethod
-    def _method_not_allowed(method: str, path: str) -> Tuple[int, Any]:
-        return 405, ErrorBody(
-            error=f"{method} not allowed on {path}",
-            kind="ServiceError",
-            status=405,
-        ).to_wire()
+    def _method_not_allowed(method: str, path: str) -> Tuple[int, bytes]:
+        return _error(405, f"{method} not allowed on {path}", "ServiceError")
 
     # -- the compute path ----------------------------------------------
 
-    async def _handle_compute(self, endpoint: str, body: bytes) -> Tuple[int, Any]:
+    async def _handle_compute(self, endpoint: str, body: bytes) -> Tuple[int, bytes]:
         self.metrics.inc("service_requests_total")
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except ValueError:
-            return 400, ErrorBody(
-                error="request body is not valid JSON",
-                kind="SchemaError",
-                status=400,
-            ).to_wire()
+            return _error(400, "request body is not valid JSON", "SchemaError")
         try:
             request = parse_request(endpoint, payload)
         except SchemaError as exc:
             self.metrics.inc("service_schema_rejections")
-            return 400, ErrorBody(
-                error=str(exc), kind="SchemaError", status=400
-            ).to_wire()
+            return _error(400, str(exc), "SchemaError")
 
         key = cache_key(request, self._git_sha)
-        result, tier = self.cache.get(key)
+        encoded, tier = self.cache.get(key)
         if tier == "memory":
             self.metrics.inc("service_cache_hits")
             self.metrics.inc("service_cache_hits_memory")
-            return 200, self._envelope(endpoint, key, result, source="memory")
+            return 200, self._envelope(endpoint, key, encoded, source="memory")
         if tier == "disk":
             self.metrics.inc("service_cache_hits")
             self.metrics.inc("service_cache_hits_disk")
             await self._append_ledger_row(
                 endpoint, request, outcome="cached", wall_seconds=0.0
             )
-            return 200, self._envelope(endpoint, key, result, source="disk")
+            return 200, self._envelope(endpoint, key, encoded, source="disk")
 
         leader, future = self.coalescer.claim(key)
         if not leader:
             self.metrics.inc("service_coalesced")
             try:
-                result = await asyncio.shield(future)
-            except FullViewError as exc:
-                return self._error_response(exc)
-            except Exception as exc:  # leader crashed unexpectedly
-                return 500, ErrorBody(
-                    error=str(exc), kind=type(exc).__name__, status=500
-                ).to_wire()
-            return 200, self._envelope(endpoint, key, result, source="coalesced")
+                encoded = await asyncio.shield(future)
+            except Exception as exc:  # the leader's job failed or crashed
+                return _failure(exc)
+            return 200, self._envelope(endpoint, key, encoded, source="coalesced")
 
         if self._draining or self._pending >= self.queue_limit:
             self.metrics.inc("service_rejections")
@@ -342,7 +376,7 @@ class CoverageService:
             # Retrieve the exception so a followerless future never
             # logs "exception was never retrieved".
             future.exception()
-            return self._error_response(refusal, status=503)
+            return _error(503, str(refusal), "ServiceError")
 
         self._pending += 1
         self._idle.clear()
@@ -361,11 +395,7 @@ class CoverageService:
             await self._append_ledger_row(
                 endpoint, request, outcome="error", wall_seconds=elapsed
             )
-            if isinstance(exc, FullViewError):
-                return self._error_response(exc)
-            return 500, ErrorBody(
-                error=str(exc), kind=type(exc).__name__, status=500
-            ).to_wire()
+            return _failure(exc)
         finally:
             self._pending -= 1
             self.metrics.set_gauge("service_queue_depth", self._pending)
@@ -375,42 +405,42 @@ class CoverageService:
         elapsed = time.perf_counter() - started
         self.metrics.inc("service_cache_misses")
         self.metrics.observe("service_compute_seconds", elapsed)
-        self.cache.put(key, result)
-        self.coalescer.resolve(key, result)
+        encoded = self.cache.put(key, result)
+        self.coalescer.resolve(key, encoded)
         await self._append_ledger_row(
             endpoint, request, outcome="ok", wall_seconds=elapsed
         )
         return 200, self._envelope(
-            endpoint, key, result, source="computed", compute_seconds=elapsed
+            endpoint, key, encoded, source="computed", compute_seconds=elapsed
         )
 
     @staticmethod
     def _envelope(
         endpoint: str,
         key: str,
-        result: Any,
+        encoded: bytes,
         *,
         source: str,
         compute_seconds: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        return {
+    ) -> bytes:
+        """The answer envelope around an already-encoded result.
+
+        Byte-identical to ``json.dumps`` of this dict with the result
+        in place of ``None``: only the small head is encoded, and the
+        trailing ``null}`` is swapped for ``encoded`` and the brace, so
+        an answer never re-encodes its result.
+        """
+        envelope = json.dumps({
             "schema": API_SCHEMA,
             "endpoint": endpoint,
             "key": key,
             "cached": source in ("memory", "disk"),
             "source": source,
             "compute_seconds": compute_seconds,
-            "result": result,
-        }
-
-    @staticmethod
-    def _error_response(
-        error: FullViewError, status: Optional[int] = None
-    ) -> Tuple[int, Any]:
-        resolved = status if status is not None else 400
-        return resolved, ErrorBody(
-            error=str(error), kind=type(error).__name__, status=resolved
-        ).to_wire()
+            "result": None,
+        })
+        head = envelope[: -len("null}")].encode("utf-8")
+        return b"".join((head, encoded, b"}"))
 
     async def _append_ledger_row(
         self,

@@ -96,10 +96,6 @@ class TestDistance:
     def test_square_across_is_long(self):
         assert UNIT_SQUARE.distance((0.95, 0.5), (0.05, 0.5)) == pytest.approx(0.9)
 
-    def test_max_distance(self):
-        assert UNIT_TORUS.max_distance() == pytest.approx(math.sqrt(2) / 2)
-        assert UNIT_SQUARE.max_distance() == pytest.approx(math.sqrt(2))
-
     @given(points, points)
     def test_symmetry(self, a, b):
         assert UNIT_TORUS.distance(a, b) == pytest.approx(

@@ -13,14 +13,14 @@ import json
 from typing import Any, Dict, Optional, Tuple
 
 
-async def http_request(
+async def raw_request(
     port: int,
     method: str,
     path: str,
     payload: Optional[Dict[str, Any]] = None,
     host: str = "127.0.0.1",
-) -> Tuple[int, Any]:
-    """One HTTP exchange against a CoverageService; returns (status, body)."""
+) -> Tuple[int, bytes]:
+    """One HTTP exchange against a CoverageService; returns (status, raw body)."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
         body = json.dumps(payload).encode("utf-8") if payload is not None else b""
@@ -43,14 +43,25 @@ async def http_request(
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 length = int(value.strip())
-        raw = await reader.readexactly(length) if length else b""
-        return status, json.loads(raw.decode("utf-8")) if raw else None
+        return status, await reader.readexactly(length) if length else b""
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+async def http_request(
+    port: int,
+    method: str,
+    path: str,
+    payload: Optional[Dict[str, Any]] = None,
+    host: str = "127.0.0.1",
+) -> Tuple[int, Any]:
+    """One HTTP exchange against a CoverageService; returns (status, body)."""
+    status, raw = await raw_request(port, method, path, payload, host)
+    return status, json.loads(raw.decode("utf-8")) if raw else None
 
 
 def post(port: int, endpoint: str, payload: Dict[str, Any]):

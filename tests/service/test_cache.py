@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.api.schemas import EstimateRequest
+from repro.ioutil import verify_checksum
 from repro.service.cache import CACHE_FORMAT, ResultCache, cache_key
 
 
@@ -33,8 +34,9 @@ class TestMemoryTier:
         cache = ResultCache()
         key = cache_key(request(), None)
         assert cache.get(key) == (None, None)
-        cache.put(key, {"answer": 42})
-        assert cache.get(key) == ({"answer": 42}, "memory")
+        assert cache.put(key, {"answer": 42}) == b'{"answer": 42}'
+        # Memory holds the encoding the service splices into answers.
+        assert cache.get(key) == (b'{"answer": 42}', "memory")
         assert len(cache) == 1
 
     def test_memory_only_without_directory(self):
@@ -47,9 +49,9 @@ class TestDiskTier:
         key = cache_key(request(), "sha")
         ResultCache(tmp_path).put(key, {"answer": 42})
         fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == ({"answer": 42}, "disk")
+        assert fresh.get(key) == (b'{"answer": 42}', "disk")
         # Promotion: the second read is a memory hit.
-        assert fresh.get(key) == ({"answer": 42}, "memory")
+        assert fresh.get(key) == (b'{"answer": 42}', "memory")
 
     def test_entries_are_fanned_out_and_stamped(self, tmp_path):
         key = cache_key(request(), "sha")
@@ -59,6 +61,14 @@ class TestDiskTier:
         assert envelope["format"] == CACHE_FORMAT
         assert envelope["key"] == key
         assert "sha256" in envelope
+
+    def test_disk_holds_the_result_object(self, tmp_path):
+        key = cache_key(request(), "sha")
+        ResultCache(tmp_path).put(key, {"answer": 42})
+        path = tmp_path / key[:2] / f"{key}.json"
+        envelope = json.loads(path.read_text())
+        assert envelope["result"] == {"answer": 42}
+        assert verify_checksum(envelope)
 
     def test_corrupt_json_is_a_miss(self, tmp_path):
         key = cache_key(request(), "sha")

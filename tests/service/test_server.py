@@ -18,7 +18,7 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.obs.ledger import load_runs
 from repro.service import CoverageService, ResultCache
-from tests.service.conftest import http_request, post
+from tests.service.conftest import http_request, post, raw_request
 
 
 def body(seed: int = 0, **overrides):
@@ -99,8 +99,14 @@ class TestRouting:
             b"POST /v1/estimate HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
             b"POST /v1/estimate HTTP/1.1\r\nContent-Length: -3\r\n\r\n",
             b"GARBAGE\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
         ],
-        ids=["length-not-a-number", "length-negative", "one-field-request-line"],
+        ids=[
+            "length-not-a-number",
+            "length-negative",
+            "one-field-request-line",
+            "head-line-over-64k",
+        ],
     )
     def test_malformed_request_head_is_400(self, head):
         async def main():
@@ -148,6 +154,97 @@ class TestComputePath:
         assert second[1]["result"] == first[1]["result"] == {"answer": 42}
         assert counters["service_cache_misses"] == 1
         assert counters["service_cache_hits"] == 1
+
+    def test_memory_hits_never_re_encode_the_result(self, monkeypatch):
+        class CountingResult(dict):
+            """A result that counts how often ``json`` serialises it."""
+
+            encodes = 0
+
+            def items(self):
+                type(self).encodes += 1
+                return super().items()
+
+        monkeypatch.setattr(
+            "repro.service.server.run_request",
+            lambda request, *, workers=None: CountingResult(answer=42),
+        )
+
+        async def main():
+            service = await started()
+            computed = await post(service.port, "estimate", body())
+            after_compute = CountingResult.encodes
+            hits = [await post(service.port, "estimate", body()) for _ in range(5)]
+            await service.stop()
+            return computed, after_compute, hits
+
+        computed, after_compute, hits = run(main())
+        assert computed[1]["source"] == "computed"
+        assert [envelope["source"] for _, envelope in hits] == ["memory"] * 5
+        assert [envelope["result"] for _, envelope in hits] == [{"answer": 42}] * 5
+        assert after_compute == 1, "the computed answer encodes its result once"
+        assert CountingResult.encodes == 1, "a memory hit must not re-encode"
+
+    def test_every_source_sends_json_dumps_of_the_envelope(
+        self, tmp_path, monkeypatch
+    ):
+        """Computed, coalesced, memory and disk answers: the same bytes as
+        ``json.dumps`` of the whole envelope with ``result`` last."""
+        result = {
+            "kind": "point",
+            "estimate": {"proportion": 0.1 + 0.2, "wilson_95": (1 / 3, 2 / 3)},
+            "fleet": [{"x": 1e-300, "y": -0.0, "label": "\u03b8 \u2264 \u03c0"}],
+            "trials": 8,
+        }
+        gate = threading.Event()
+
+        def fake_run(request, *, workers=None):
+            assert gate.wait(timeout=10)
+            return result
+
+        monkeypatch.setattr("repro.service.server.run_request", fake_run)
+        cache_dir = tmp_path / "cache"
+
+        def ask(service):
+            return raw_request(service.port, "POST", "/v1/estimate", body())
+
+        async def generation_one():
+            service = await started(cache=ResultCache(cache_dir))
+            pair = [asyncio.ensure_future(ask(service)) for _ in range(2)]
+            while service.metrics.counter("service_coalesced") < 1:
+                await asyncio.sleep(0.005)
+            gate.set()
+            answers = list(await asyncio.gather(*pair))
+            answers.append(await ask(service))
+            await service.stop()
+            return answers
+
+        async def generation_two():
+            service = await started(cache=ResultCache(cache_dir))
+            answer = await ask(service)
+            await service.stop()
+            return answer
+
+        answers = run(generation_one())
+        answers.append(run(generation_two()))
+        sources = []
+        for status, raw in answers:
+            assert status == 200
+            envelope = json.loads(raw)
+            source = envelope["source"]
+            sources.append(source)
+            expected = {
+                "schema": "fullview-api-v1",
+                "endpoint": "estimate",
+                "key": envelope["key"],
+                "cached": source in ("memory", "disk"),
+                "source": source,
+                "compute_seconds": envelope["compute_seconds"],
+                "result": result,
+            }
+            assert raw == json.dumps(expected).encode("utf-8"), source
+        assert sorted(sources) == ["coalesced", "computed", "disk", "memory"]
+        assert len({json.loads(raw)["key"] for _, raw in answers}) == 1
 
     def test_n_concurrent_identical_requests_one_compute(self, monkeypatch):
         fan_out = 5
