@@ -167,7 +167,9 @@ def _run_body(args: argparse.Namespace) -> int:
     import time
 
     from repro.experiments import all_experiments, get_experiment
+    from repro.simulation.runner import check_resume_options
 
+    check_resume_options(args.resume, args.checkpoint, args.time_budget)
     ids: List[str] = args.ids or sorted(all_experiments())
     out_dir: Optional[Path] = Path(args.out) if args.out else None
     checkpoint_path: Optional[Path] = (
@@ -882,7 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_life.add_argument(
         "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop gracefully between trials once exceeded",
+        help="stop gracefully before the next trial (the next chunk "
+        "with --workers) once exceeded",
     )
     p_life.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -146,15 +146,16 @@ class ResultCache:
 
         The result is encoded once, into memory.  With a directory the
         ``fullview-cache-v1`` envelope around the result object (its
-        checksum taken over that object) is written to disk as well.
+        checksum taken over that object) is written to disk first, so a
+        failed write raises and leaves no entry in either tier.
         """
         encoded = _encode(result)
-        self._memory[key] = encoded
         if self._dir is not None:
             envelope = stamp_checksum(
                 {"format": CACHE_FORMAT, "key": key, "result": result}
             )
             write_json_atomic(self._entry_path(key), envelope)
+        self._memory[key] = encoded
         return encoded
 
     def __len__(self) -> int:

@@ -27,12 +27,15 @@ The request path is, in order:
 5. **Compute** — the leader runs the job in a thread pool through the
    engine, inside a ``service.<endpoint>`` trace span, then caches
    (the one encode of the result), resolves followers and appends an
-   ``outcome="ok"`` ledger row.
+   ``outcome="ok"`` ledger row.  A job that raises, or a result the
+   cache cannot store, fails the leader and every follower alike and
+   appends an ``outcome="error"`` row instead.
    Only misses append ok/error rows, so ledger throughput numbers
    count real engine runs.
 
-Shutdown is graceful: the listener closes first, in-flight
-computations drain, then the pool stops.  Counters, gauges
+Shutdown is graceful: the listener closes first, every request already
+admitted gets its answer written (ledger row included), then the pool
+stops.  Counters, gauges
 (``service_queue_depth``) and the ``service_compute_seconds``
 histogram live in a :class:`~repro.obs.metrics.MetricsRegistry`
 exported at ``GET /v1/stats``.
@@ -152,6 +155,7 @@ class CoverageService:
         self.port: Optional[int] = None
         self._git_sha = git_sha()
         self._pending = 0
+        self._answering = 0
         self._draining = False
         self._idle = asyncio.Event()
         self._idle.set()
@@ -183,17 +187,14 @@ class CoverageService:
         except asyncio.CancelledError:
             pass
 
-    async def stop(self, drain_timeout: float = 30.0) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight, stop pool."""
+    async def stop(self) -> None:
+        """Graceful shutdown: stop accepting, answer admitted requests, stop pool."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=drain_timeout)
-        except asyncio.TimeoutError:
-            pass
+        await self._idle.wait()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -239,12 +240,20 @@ class CoverageService:
                     await self._refuse(writer, f"body exceeds {_MAX_BODY_BYTES} bytes")
                     break
                 body = await reader.readexactly(length) if length else b""
-                status, reply = await self._route(method, target, body)
-                keep_alive = (
-                    headers.get("connection", "").lower() != "close"
-                    and not self._draining
-                )
-                await self._respond(writer, status, reply, keep_alive=keep_alive)
+                # A drain waits until every request it admitted is answered.
+                self._answering += 1
+                self._idle.clear()
+                try:
+                    status, reply = await self._route(method, target, body)
+                    keep_alive = (
+                        headers.get("connection", "").lower() != "close"
+                        and not self._draining
+                    )
+                    await self._respond(writer, status, reply, keep_alive=keep_alive)
+                finally:
+                    self._answering -= 1
+                    if self._answering == 0:
+                        self._idle.set()
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -379,7 +388,6 @@ class CoverageService:
             return _error(503, str(refusal), "ServiceError")
 
         self._pending += 1
-        self._idle.clear()
         self.metrics.set_gauge("service_queue_depth", self._pending)
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
@@ -388,6 +396,9 @@ class CoverageService:
                 result = await loop.run_in_executor(
                     self._pool, partial(run_request, request, workers=self.workers)
                 )
+            elapsed = time.perf_counter() - started
+            # A result the cache cannot store fails like the job itself.
+            encoded = self.cache.put(key, result)
         except Exception as exc:
             elapsed = time.perf_counter() - started
             self.coalescer.fail(key, exc)
@@ -399,13 +410,9 @@ class CoverageService:
         finally:
             self._pending -= 1
             self.metrics.set_gauge("service_queue_depth", self._pending)
-            if self._pending == 0:
-                self._idle.set()
 
-        elapsed = time.perf_counter() - started
         self.metrics.inc("service_cache_misses")
         self.metrics.observe("service_compute_seconds", elapsed)
-        encoded = self.cache.put(key, result)
         self.coalescer.resolve(key, encoded)
         await self._append_ledger_row(
             endpoint, request, outcome="ok", wall_seconds=elapsed

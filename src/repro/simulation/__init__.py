@@ -47,7 +47,6 @@ from repro.simulation.results import ResultTable
 from repro.simulation.runner import (
     ResilientResult,
     TrialFailure,
-    make_point_probability_trial,
     run_resilient_trials,
 )
 from repro.simulation.statistics import BernoulliEstimate, wilson_interval
@@ -68,7 +67,6 @@ __all__ = [
     "execute_trials",
     "executor_for",
     "fault_scope",
-    "make_point_probability_trial",
     "run_resilient_trials",
     "run_trial",
     "estimate_area_fraction",

@@ -17,7 +17,7 @@ as three separable pieces:
   :mod:`repro.resilience.lifetime` are frozen dataclasses, so they
   pickle cleanly into worker processes.
 - A pluggable *executor*.  :class:`SerialExecutor` runs trials inline,
-  one per batch (preserving per-trial budget checks and checkpoint
+  one per batch (preserving per-trial deadline checks and checkpoint
   cadence exactly).  :class:`ThreadExecutor` and
   :class:`ParallelExecutor` are the two backends of one chunked
   executor: contiguous chunks of trials go to a thread pool or to a
@@ -36,6 +36,8 @@ Executors yield batches *in trial order* even though parallel chunks
 complete out of order; consumers therefore always observe a contiguous
 prefix of the sweep, which is exactly the invariant the checkpointed
 runner (:mod:`repro.simulation.runner`) needs to resume at any index.
+One loop drains them, :class:`Sweep`: :func:`execute_trials` runs it to
+the end, and the resilient runner adds only its checkpoints and budget.
 
 The engine is instrumented for :mod:`repro.obs`: with an active obs
 context every trial runs inside a ``"trial"`` span and process chunks
@@ -43,13 +45,11 @@ ship their spans back as aggregated :class:`~repro.obs.trace.ChunkTrace`
 records merged in trial order.  Each fault-ladder moment (a chunk
 dispatched, retried, quarantined or fallen back, a pool respawned) is
 one :func:`repro.obs.emit` call, whose table decides the counter and
-progress tally it feeds.  Both sweep loops — :func:`execute_trials`
-and the resilient runner's — run inside one
-:class:`SweepBracket`, which emits ``RunStarted``/``RunFinished``,
-drives progress and tallies the trial counters; the executors
-themselves feed no progress.  All of it is off by default, guarded by
-single ``None`` checks, and none of it touches the trial generators —
-traced and untraced runs are bit-identical.
+progress tally it feeds.  The :class:`Sweep` emits
+``RunStarted``/``RunFinished``, drives progress and tallies the trial
+counters; the executors themselves feed no progress.  All of it is off
+by default, guarded by single ``None`` checks, and none of it touches
+the trial generators — traced and untraced runs are bit-identical.
 
 Errors inside a trial follow two regimes.  With ``isolate=False`` (the
 estimators' regime) the first exception propagates unchanged, like a
@@ -113,7 +113,7 @@ __all__ = [
     "MonteCarloConfig",
     "ParallelExecutor",
     "SerialExecutor",
-    "SweepBracket",
+    "Sweep",
     "ThreadExecutor",
     "TrialExecutor",
     "TrialOutcome",
@@ -393,9 +393,11 @@ def _classify(exc: Exception) -> Tuple[str, str]:
 class TrialExecutor(ABC):
     """Strategy for executing a sweep of independent seeded trials.
 
-    ``run`` yields lists of :class:`TrialOutcome` covering the requested
-    trial indices *in order*: concatenating the batches reproduces the
-    sweep exactly, whatever the execution strategy.
+    ``run`` is a generator of :class:`TrialOutcome` lists covering the
+    requested trial indices *in order*: concatenating the batches
+    reproduces the sweep exactly, whatever the execution strategy.
+    :class:`Sweep` closes it when the sweep ends, early or not, and
+    that close must cancel any work still queued.
     """
 
     @abstractmethod
@@ -412,9 +414,9 @@ class TrialExecutor(ABC):
 class SerialExecutor(TrialExecutor):
     """Run trials inline, one batch per trial.
 
-    The single-trial batches keep consumers' per-trial semantics (time
-    budgets checked before each trial, checkpoints written at exact
-    trial counts) identical to a plain ``for`` loop.
+    The single-trial batches keep consumers' per-trial semantics (a
+    :class:`Sweep`'s deadline checked before each trial, checkpoints
+    written at exact trial counts) identical to a plain ``for`` loop.
     """
 
     def run(
@@ -930,42 +932,53 @@ def executor_for(
     return executor
 
 
-class SweepBracket:
-    """The telemetry around one sweep, shared by both sweep loops.
+class Sweep:
+    """One sweep: pick the executor, drain its batches, report.
 
-    :func:`execute_trials` and the resilient runner each drain an
-    executor's batches in their own loop and hand every batch they take
-    to :meth:`received`, which advances progress.  Entering emits
-    ``RunStarted`` and begins progress with the ``resumed_ok`` +
-    ``resumed_failed`` trials restored from a checkpoint counted as
-    done.  A clean exit bumps ``trials_completed``/``trials_failed`` by
-    the trials run here (not the resumed ones), emits ``RunFinished``
-    with the whole sweep's tallies and finishes progress; an exception
-    skips all three, so an interrupted sweep reports no finish.
+    The only code outside the executors that calls :func:`executor_for`
+    or an executor's ``run``.  Iterating yields the batches in trial
+    order from trial ``sum(resumed)`` on (``resumed`` is a checkpoint's
+    ``(ok, failed)`` pair) and stops before taking a batch once the
+    optional ``deadline``, a :func:`time.monotonic` instant, has passed.
+    Entering emits ``RunStarted`` and begins progress with the resumed
+    trials counted as done; each batch taken is tallied and advances
+    progress.  Exiting always closes the batches, which cancels queued
+    chunks.  A clean exit then bumps ``trials_completed`` and
+    ``trials_failed`` by the trials run here, emits ``RunFinished`` with
+    the whole sweep's tallies and finishes progress; an exception skips
+    all three, so an interrupted or abandoned sweep reports no finish.
     """
 
     def __init__(
         self,
+        task: TrialTask,
         config: MonteCarloConfig,
-        executor: TrialExecutor,
+        *,
+        executor: Optional[TrialExecutor] = None,
+        isolate: bool = False,
+        resumed: Tuple[int, int] = (0, 0),
+        deadline: Optional[float] = None,
         source: str = "engine",
-        resumed_ok: int = 0,
-        resumed_failed: int = 0,
     ) -> None:
+        executor = executor if executor is not None else executor_for(config, task)
         self.started = RunStarted(
             trials=config.trials,
             seed=config.seed,
             workers=getattr(executor, "workers", 1),
             source=source,
         )
-        self.resumed = (resumed_ok, resumed_failed)
+        self.resumed = resumed
+        self.deadline = deadline
         self.ok = self.failed = 0
         self.progress = active_progress()
-        # Bound once: ``received`` runs per trial on the serial executor.
+        # Bound once: a serial sweep advances progress once per trial.
         self.advance = self.progress.advance if self.progress is not None else None
         self.clock = (0, 0)
+        self._batches = executor.run(
+            task, config, range(sum(resumed), config.trials), isolate=isolate
+        )
 
-    def __enter__(self) -> "SweepBracket":
+    def __enter__(self) -> "Sweep":
         emit(self.started)
         if self.progress is not None:
             self.progress.begin(self.started.trials)
@@ -973,16 +986,21 @@ class SweepBracket:
         self.clock = (time.perf_counter_ns(), time.process_time_ns())
         return self
 
-    def received(self, batch: List[TrialOutcome]) -> None:
-        """The sweep loop took ``batch`` from the executor."""
-        count = len(batch)
-        failed = sum(outcome.error is not None for outcome in batch)
-        self.ok += count - failed
-        self.failed += failed
-        if self.advance is not None:
-            self.advance(count, failed=failed)
+    def __iter__(self) -> Iterator[List[TrialOutcome]]:
+        while self.deadline is None or time.monotonic() < self.deadline:
+            batch = next(self._batches, None)
+            if batch is None:
+                return
+            count = len(batch)
+            failed = sum(outcome.error is not None for outcome in batch)
+            self.ok += count - failed
+            self.failed += failed
+            if self.advance is not None:
+                self.advance(count, failed=failed)
+            yield batch
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self._batches.close()
         if exc_type is not None:
             return
         metrics = active_metrics()
@@ -1014,14 +1032,9 @@ def execute_trials(
     The one-line entry point the estimators use: results are identical
     for every executor, so callers choose purely on wall-clock grounds
     (``executor=None`` means :func:`executor_for` picks from
-    ``config.workers`` and the task).  The sweep runs inside a
-    :class:`SweepBracket`, which is inert (a few ``None`` checks)
-    without an active obs context.
+    ``config.workers`` and the task).  The sweep is a :class:`Sweep`
+    with no deadline, inert (a few ``None`` checks) without an active
+    obs context.
     """
-    executor = executor if executor is not None else executor_for(config, task)
-    outcomes: List[TrialOutcome] = []
-    with SweepBracket(config, executor) as sweep:
-        for batch in executor.run(task, config, range(config.trials), isolate=isolate):
-            sweep.received(batch)
-            outcomes.extend(batch)
-    return outcomes
+    with Sweep(task, config, executor=executor, isolate=isolate) as sweep:
+        return [outcome for batch in sweep for outcome in batch]

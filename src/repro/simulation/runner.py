@@ -17,34 +17,33 @@ module provides them around *any* per-trial function:
   streams, so interrupt-at-any-index + resume equals one uninterrupted
   run, exactly.
 - **Time budgets** — an optional wall-clock budget stops the sweep
-  between trials, returning a partial result flagged ``truncated`` (and
-  a checkpoint to resume from).
+  before it takes its next batch, returning a partial result flagged
+  ``truncated`` (and a checkpoint to resume from).
 
 The trial function receives ``(trial_index, rng)`` and returns a number
 (booleans for Bernoulli sweeps, e.g. lifetimes for resilience sweeps).
 It must derive all randomness from ``rng`` for determinism to hold.
 
-Execution is delegated to the shared engine
-(:mod:`repro.simulation.engine`): the config's ``workers`` setting
-selects serial or parallel execution, and because executors
-yield outcomes in trial order the checkpoint always holds a contiguous
-prefix of the sweep — checkpoint/resume and parallelism compose, with
-bit-identical results either way.  Under the parallel executor the time
-budget and ``BaseException`` handling act at chunk granularity (the
-serial executor keeps the historical per-trial granularity), and a
-trial function that cannot cross the process boundary (e.g. a closure)
-transparently falls back to in-process execution.
+The sweep is the engine's :class:`~repro.simulation.engine.Sweep`, the
+loop :func:`~repro.simulation.engine.execute_trials` runs too, with the
+budget as its deadline; this module adds only the argument checks, the
+checkpoint (loaded, recovered, written every ``checkpoint_every``
+trials and on an interrupt) and the :class:`ResilientResult`.  Because
+executors yield outcomes in trial order the checkpoint always holds a
+contiguous prefix of the sweep — checkpoint/resume and parallelism
+compose, with bit-identical results either way.  The deadline and
+``BaseException`` handling act per batch: per trial serially, per
+chunk with workers; a trial function that cannot cross the process
+boundary (e.g. a closure) transparently falls back to in-process
+execution.
 
 Checkpoints are written durably (fsynced before the atomic rename, so
 a crash can never leave a torn file behind the rename) and stamped
-with the package version and seed for provenance.  The sweep loop runs
-inside the engine's :class:`~repro.simulation.engine.SweepBracket`,
-the same bracket :func:`~repro.simulation.engine.execute_trials` uses,
-so ``RunStarted``/``RunFinished``, progress and the trial counters
-behave alike for both sweep loops (resumed trials count as done, not as
-newly run); each checkpoint write or recovery is one
-:func:`repro.obs.emit`.  As everywhere, telemetry is off by default and
-never touches the trial generators.
+with the package version and seed for provenance.  ``RunStarted``/
+``RunFinished``, progress and the trial counters come from the sweep
+(resumed trials count as done, not as newly run); each checkpoint
+write or recovery is one :func:`repro.obs.emit`.  As everywhere,
+telemetry is off by default and never touches the trial generators.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro._version import __version__
-from repro.deployment.uniform import UniformDeployment
 from repro.errors import CheckpointError, InvalidParameterError
 from repro.ioutil import (
     config_digest,
@@ -69,9 +67,8 @@ from repro.ioutil import (
 )
 from repro.obs import emit
 from repro.obs.events import CheckpointRecovered, CheckpointWritten
-from repro.simulation.engine import MonteCarloConfig, SweepBracket, executor_for
+from repro.simulation.engine import MonteCarloConfig, Sweep
 from repro.simulation.faults import ChaosPolicy, resolve_chaos_policy
-from repro.simulation.montecarlo import PointProbabilityTask
 from repro.simulation.statistics import BernoulliEstimate, wilson_interval
 
 __all__ = [
@@ -81,7 +78,7 @@ __all__ = [
     "ResilientResult",
     "TrialFailure",
     "TrialFn",
-    "make_point_probability_trial",
+    "check_resume_options",
     "parse_checkpoint",
     "run_resilient_trials",
 ]
@@ -269,9 +266,10 @@ def parse_checkpoint(path: Path, format_tag: str = CHECKPOINT_FORMAT) -> dict:
 def _validate_checkpoint(path: Path, payload: dict, config: MonteCarloConfig):
     """Check a parsed checkpoint against ``config`` and unpack it.
 
-    Seed/trial mismatches are *configuration* errors, not corruption:
-    they raise even when a backup exists, because the backup was
-    written for the same sweep.
+    Returns ``(outcomes, failures)``, which together hold exactly the
+    trials ``0..next_trial-1``.  Seed/trial mismatches are
+    *configuration* errors, not corruption: they raise even when a
+    backup exists, because the backup was written for the same sweep.
     """
     if payload.get("seed") != config.seed or payload.get("trials") != config.trials:
         raise CheckpointError(
@@ -295,7 +293,15 @@ def _validate_checkpoint(path: Path, payload: dict, config: MonteCarloConfig):
             f"checkpoint {path} has next_trial={next_trial} outside "
             f"[0, {config.trials}]; {_RECOVERY_HINT}"
         )
-    return next_trial, outcomes, failures
+    # A resume starts after the recorded trials, so they must be the
+    # whole prefix: no gap, no duplicate.
+    recorded = sorted([trial for trial, _ in outcomes] + [f.trial for f in failures])
+    if recorded != list(range(next_trial)):
+        raise CheckpointError(
+            f"checkpoint {path} is malformed: its trials are not exactly "
+            f"0..{next_trial - 1}; {_RECOVERY_HINT}"
+        )
+    return outcomes, failures
 
 
 def _load_or_recover_checkpoint(path: Path, config: MonteCarloConfig):
@@ -320,15 +326,36 @@ def _load_or_recover_checkpoint(path: Path, config: MonteCarloConfig):
             payload = parse_checkpoint(backup)
         except CheckpointError:
             raise exc from None
-        state = _validate_checkpoint(backup, payload, config)
+        outcomes, failures = _validate_checkpoint(backup, payload, config)
         write_json_atomic(path, payload)
         emit(
             CheckpointRecovered(
-                path=str(path), recovered_from=str(backup), next_trial=state[0]
+                path=str(path),
+                recovered_from=str(backup),
+                next_trial=len(outcomes) + len(failures),
             )
         )
-        return state
+        return outcomes, failures
     return _validate_checkpoint(path, payload, config)
+
+
+def check_resume_options(
+    resume: bool,
+    checkpoint_dir: Optional[Union[str, Path]],
+    time_budget: Optional[float],
+) -> None:
+    """The checks every resumable driver makes of its resume and budget.
+
+    Shared by :func:`run_resilient_trials` and ``fullview run``: a
+    resume needs a checkpoint directory, and a budget must be a
+    positive number of seconds.
+    """
+    if time_budget is not None and not time_budget > 0.0:
+        raise InvalidParameterError(
+            f"time_budget must be positive seconds, got {time_budget!r}"
+        )
+    if resume and checkpoint_dir is None:
+        raise InvalidParameterError("resume=True requires a checkpoint_dir")
 
 
 def run_resilient_trials(
@@ -361,34 +388,26 @@ def run_resilient_trials(
         trial index.  A missing file starts a fresh sweep; an
         incompatible or corrupt file raises :class:`CheckpointError`.
     time_budget:
-        Wall-clock seconds; checked before each trial, so the sweep
-        stops gracefully between trials and the result is flagged
-        ``truncated``.
+        Wall-clock seconds, made the sweep's deadline; checked before
+        each batch (each trial serially, each chunk with workers), so
+        the sweep stops gracefully between batches and the result is
+        flagged ``truncated``.
     """
     if checkpoint_every < 1:
         raise InvalidParameterError(
             f"checkpoint_every must be >= 1, got {checkpoint_every!r}"
         )
-    if time_budget is not None and not time_budget > 0.0:
-        raise InvalidParameterError(
-            f"time_budget must be positive seconds, got {time_budget!r}"
-        )
-    if resume and checkpoint_dir is None:
-        raise InvalidParameterError("resume=True requires a checkpoint_dir")
+    check_resume_options(resume, checkpoint_dir, time_budget)
 
     path = _checkpoint_path(checkpoint_dir) if checkpoint_dir is not None else None
     chaos = resolve_chaos_policy(None)
     write_index = 0
     outcomes: List[Tuple[int, float]] = []
     failures: List[TrialFailure] = []
-    start = 0
-    if (
-        resume
-        and path is not None
-        and (path.exists() or _backup_path(path).exists())
-    ):
-        start, outcomes, failures = _load_or_recover_checkpoint(path, config)
-    resumed = len(outcomes) + len(failures)
+    if resume and (path.exists() or _backup_path(path).exists()):
+        outcomes, failures = _load_or_recover_checkpoint(path, config)
+    resumed = (len(outcomes), len(failures))
+    start = next_trial = sum(resumed)
 
     def checkpoint(at_trial: int) -> None:
         # Each write carries its ordinal so the chaos corrupt seam can
@@ -399,32 +418,17 @@ def run_resilient_trials(
         )
         write_index += 1
 
-    truncated = False
-    next_trial = start
-    executor = executor_for(config, trial_fn)
-    with SweepBracket(
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    with Sweep(
+        trial_fn,
         config,
-        executor,
+        isolate=True,
+        resumed=resumed,
+        deadline=deadline,
         source="runner",
-        resumed_ok=len(outcomes),
-        resumed_failed=len(failures),
     ) as sweep:
-        started_at = time.monotonic()
-        batches = executor.run(
-            trial_fn, config, range(start, config.trials), isolate=True
-        )
         try:
-            while next_trial < config.trials:
-                if (
-                    time_budget is not None
-                    and time.monotonic() - started_at >= time_budget
-                ):
-                    truncated = True
-                    break
-                batch = next(batches, None)
-                if batch is None:
-                    break
-                sweep.received(batch)
+            for batch in sweep:
                 for outcome in batch:
                     if outcome.ok:
                         outcomes.append((outcome.trial, float(outcome.value)))
@@ -440,48 +444,12 @@ def run_resilient_trials(
             if path is not None:
                 checkpoint(next_trial)
             raise
-        finally:
-            # Dropping the executor's generator cancels any queued chunks.
-            close = getattr(batches, "close", None)
-            if close is not None:
-                close()
         if path is not None:
             checkpoint(next_trial)
     return ResilientResult(
         requested=config.trials,
         outcomes=tuple(outcomes),
         failures=tuple(failures),
-        truncated=truncated,
-        resumed_trials=resumed,
-    )
-
-
-def make_point_probability_trial(
-    profile,
-    n: int,
-    theta: float,
-    condition: str,
-    scheme=None,
-    point=None,
-    k: int = 1,
-) -> TrialFn:
-    """The per-trial body of :func:`estimate_point_probability`.
-
-    Exposes the standard estimator through the resilient runner:
-    ``run_resilient_trials(make_point_probability_trial(...), config)``
-    tallies the same successes as the plain estimator, trial for trial.
-    Returns the estimator's own picklable task, so the resilient sweep
-    also parallelises.
-    """
-    scheme = scheme or UniformDeployment()
-    region = scheme.region
-    target = point if point is not None else (0.5 * region.side, 0.5 * region.side)
-    return PointProbabilityTask(
-        profile=profile,
-        n=n,
-        theta=theta,
-        condition=condition,
-        scheme=scheme,
-        point=(float(target[0]), float(target[1])),
-        k=k,
+        truncated=next_trial < config.trials,
+        resumed_trials=start,
     )

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import collections
 import json
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -22,17 +26,51 @@ from repro.obs.report import build_report, load_trace
 from repro.simulation.engine import (
     MonteCarloConfig,
     ParallelExecutor,
+    Sweep,
     ThreadExecutor,
     execute_trials,
 )
 from repro.simulation.faults import ChaosPolicy, RetryPolicy
-from repro.simulation.runner import run_resilient_trials
+from repro.simulation.runner import CHECKPOINT_FILENAME, run_resilient_trials
 
 POISON = 5
 
 
 def draw_trial(trial: int, rng: np.random.Generator) -> float:
     return float(rng.random())
+
+
+@dataclass(frozen=True)
+class SleepyTrial:
+    """A trial that sleeps, so a sweep's wall time has a known floor.
+
+    Sleeping releases the GIL, so a sweep with workers runs it on threads.
+    """
+
+    releases_gil: ClassVar[bool] = True
+    seconds: float = 0.02
+
+    def __call__(self, trial: int, rng: np.random.Generator) -> float:
+        time.sleep(self.seconds)
+        return float(rng.random())
+
+
+@dataclass(frozen=True)
+class GatedTrial:
+    """Touches ``marks/<trial>`` on start; trials from ``free`` on then
+    wait for the file ``gate``.  Files work from any process."""
+
+    marks: str
+    gate: str
+    free: int
+
+    def __call__(self, trial: int, rng: np.random.Generator) -> float:
+        (Path(self.marks) / str(trial)).touch()
+        waited = 0
+        while trial >= self.free and not Path(self.gate).exists() and waited < 2000:
+            time.sleep(0.005)
+            waited += 1
+        return float(rng.random())
 
 
 def _views(tmp_path):
@@ -130,3 +168,97 @@ def test_run_checkpoint_writes_are_counted(tmp_path, capsys):
     counters = json.loads(metrics.read_text())["counters"]
     report = build_report(load_trace(trace))
     assert report.checkpoints_written == counters["checkpoint_writes"] == 1
+
+
+def _finished(directory):
+    data = load_trace(directory / "trace.jsonl")
+    return [event for event in data.events if event["event"] == "RunFinished"]
+
+
+def test_budget_path_views_agree(tmp_path):
+    """A sweep cut by its deadline reports one count everywhere."""
+    # 40 sleeps of 20 ms on 2 threads take at least 0.4 s: the 0.3 s
+    # budget always fires.
+    config = MonteCarloConfig(trials=40, seed=3, workers=2)
+    ck = tmp_path / "ck"
+
+    def sweep(run_dir, **options):
+        run_dir.mkdir()
+        with observe(
+            trace=run_dir / "trace.jsonl",
+            metrics=run_dir / "metrics.json",
+            status=run_dir / "status.json",
+        ):
+            return run_resilient_trials(
+                SleepyTrial(), config, checkpoint_dir=ck, checkpoint_every=4, **options
+            )
+
+    cut = sweep(tmp_path / "cut", time_budget=0.3)
+    assert cut.truncated
+    [finished] = _finished(tmp_path / "cut")
+    counters = json.loads((tmp_path / "cut" / "metrics.json").read_text())["counters"]
+    status = json.loads((tmp_path / "cut" / "status.json").read_text())
+    checkpoint = json.loads((ck / CHECKPOINT_FILENAME).read_text())
+    assert finished["completed"] == cut.completed < config.trials
+    assert checkpoint["next_trial"] == finished["completed"]
+    assert counters["trials_completed"] == finished["completed"]
+    assert status["done"] == finished["completed"]
+
+    resumed = sweep(tmp_path / "resumed", resume=True)
+    assert not resumed.truncated
+    assert resumed.resumed_trials == cut.completed
+    [finished] = _finished(tmp_path / "resumed")
+    assert finished["completed"] == resumed.completed == config.trials
+
+
+@pytest.mark.parametrize(
+    "backend", [ThreadExecutor, ParallelExecutor], ids=["thread", "process"]
+)
+def test_abandoned_sweep_reports_nothing_and_starts_no_queued_chunk(
+    tmp_path, backend
+):
+    class Abandon(Exception):
+        pass
+
+    chunk, workers = 2, 2
+    config = MonteCarloConfig(trials=40, seed=3)
+    marks, gate = tmp_path / "marks", tmp_path / "gate"
+    marks.mkdir()
+
+    def executor():
+        # No injected faults: a chaos sleep before a chunk's first
+        # trial would hide when the chunk started.
+        return backend(workers, chunk_size=chunk, chaos=ChaosPolicy())
+
+    def begun():
+        return {int(mark.name) // chunk for mark in marks.iterdir()}
+
+    # Start the workers first (a process pool outlives its sweep), so a
+    # chunk a worker takes begins at once.
+    execute_trials(draw_trial, MonteCarloConfig(trials=4), executor=executor())
+    with observe(
+        trace=tmp_path / "trace.jsonl",
+        metrics=tmp_path / "metrics.json",
+        status=tmp_path / "status.json",
+    ):
+        with pytest.raises(Abandon):
+            with Sweep(
+                GatedTrial(str(marks), str(gate), free=chunk), config, executor=executor()
+            ) as sweep:
+                for _batch in sweep:
+                    raise Abandon
+        # Chunk 0 ran free; every chunk a worker took since is parked at
+        # the gate by now, and has marked its first trial.
+        time.sleep(0.3)
+        left = begun()
+        gate.touch()
+        time.sleep(0.3)
+    late = begun() - left
+    # A thread starts only chunks it takes from its queue.  A process
+    # pool has already handed up to ``workers + 1`` chunks to its call
+    # queue, where their futures run and cannot be cancelled.
+    assert len(late) <= (0 if backend is ThreadExecutor else workers + 1), late
+    assert len(left | late) < config.trials // chunk
+    assert _finished(tmp_path) == []
+    counters = json.loads((tmp_path / "metrics.json").read_text())["counters"]
+    assert counters.get("trials_completed", 0) == 0

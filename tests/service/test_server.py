@@ -10,14 +10,17 @@ rather than by racing real Monte-Carlo timings.
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 
 import pytest
 
+from repro.api.schemas import parse_request
 from repro.errors import InvalidParameterError
-from repro.obs.ledger import load_runs
+from repro.obs.ledger import git_sha, load_runs
 from repro.service import CoverageService, ResultCache
+from repro.service.cache import cache_key
 from tests.service.conftest import http_request, post, raw_request
 
 
@@ -362,6 +365,44 @@ class TestComputePath:
         assert second[1]["source"] == "computed"
         assert len(calls) == 2
 
+    def test_failed_cache_write_fails_leader_and_followers(self, tmp_path, monkeypatch):
+        gate = threading.Event()
+
+        def fake_run(request, *, workers=None):
+            assert gate.wait(timeout=10)
+            return {"answer": 42}
+
+        monkeypatch.setattr("repro.service.server.run_request", fake_run)
+        cache_dir = tmp_path / "cache"
+        key = cache_key(parse_request("estimate", body()), git_sha())
+        # A plain file where the entry's fan-out directory belongs.
+        blocker = cache_dir / key[:2]
+
+        async def main():
+            service = await started(cache=ResultCache(cache_dir))
+            blocker.write_text("not a directory")
+            leader = asyncio.ensure_future(post(service.port, "estimate", body()))
+            follower = asyncio.ensure_future(post(service.port, "estimate", body()))
+            while service.metrics.counter("service_coalesced") < 1:
+                await asyncio.sleep(0.005)
+            gate.set()
+            failed = await asyncio.wait_for(asyncio.gather(leader, follower), 10)
+            stats = await http_request(service.port, "GET", "/v1/stats")
+            blocker.unlink()
+            retried = await post(service.port, "estimate", body())
+            await service.stop()
+            return failed, stats, retried
+
+        failed, stats, retried = run(main())
+        for status, envelope in failed:
+            assert status == 500
+            assert envelope["kind"] == "FileExistsError"
+        assert stats[1]["inflight_keys"] == 0
+        # The failed write left no entry behind: the retry computes.
+        assert retried[0] == 200
+        assert retried[1]["source"] == "computed"
+        assert retried[1]["result"] == {"answer": 42}
+
     def test_graceful_stop_drains_in_flight_compute(self, monkeypatch):
         gate = threading.Event()
 
@@ -387,6 +428,56 @@ class TestComputePath:
         status, envelope = run(main())
         assert status == 200
         assert envelope["result"] == {"answer": 42}
+
+    def test_drain_answers_before_the_loop_ends(self, tmp_path, monkeypatch):
+        """``fullview serve``'s SIGTERM path, with the ledger on."""
+        gate = threading.Event()
+
+        def fake_run(request, *, workers=None):
+            assert gate.wait(timeout=10)
+            return {"answer": 42}
+
+        monkeypatch.setattr("repro.service.server.run_request", fake_run)
+        ledger = tmp_path / "runs.jsonl"
+        answers = []
+
+        def client(port):
+            # A thread, so the end of asyncio.run cannot cancel it.
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                connection.request("POST", "/v1/estimate", json.dumps(body()))
+                response = connection.getresponse()
+                answers.append((response.status, json.loads(response.read())))
+            except Exception as exc:
+                answers.append(exc)
+            finally:
+                connection.close()
+
+        async def main():
+            service = await started(ledger_path=ledger)
+            serving = asyncio.ensure_future(service.serve_forever())
+            thread = threading.Thread(target=client, args=(service.port,))
+            thread.start()
+            while service.metrics.gauge("service_queue_depth") != 1:
+                await asyncio.sleep(0.005)
+            serving.cancel()
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0.02)
+            gate.set()
+            await stopping
+            return thread
+
+        # asyncio.run cancels whatever is still running once main returns.
+        thread = run(main())
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(answers) == 1
+        status, envelope = answers[0]
+        assert status == 200
+        assert envelope["result"] == {"answer": 42}
+        rows, problems = load_runs(ledger)
+        assert problems == []
+        assert [row["outcome"] for row in rows] == ["ok"]
 
 
 class TestLedgerPolicy:

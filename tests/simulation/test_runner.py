@@ -229,6 +229,37 @@ class TestCheckpointResume:
                 coin_trial, CONFIG, checkpoint_dir=tmp_path, resume=True
             )
 
+    @pytest.mark.parametrize(
+        "next_trial, outcomes, failures",
+        [
+            # Trials 3 and 4 missing: a resume at 5 would skip them.
+            (5, [0, 1, 2], []),
+            # Trial 1 recorded twice (once ok, once failed), 2 missing.
+            (3, [0, 1], [1]),
+        ],
+        ids=["gap", "duplicate"],
+    )
+    def test_recorded_trials_must_be_the_whole_prefix(
+        self, tmp_path, next_trial, outcomes, failures
+    ):
+        # Unstamped, as legacy checkpoints are (and still load).
+        (tmp_path / CHECKPOINT_FILENAME).write_text(
+            json.dumps(
+                {
+                    "format": "fullview-mc-checkpoint-v1",
+                    "seed": CONFIG.seed,
+                    "trials": CONFIG.trials,
+                    "next_trial": next_trial,
+                    "outcomes": [[trial, 1.0] for trial in outcomes],
+                    "failures": [{"trial": trial, "error": "E: x"} for trial in failures],
+                }
+            )
+        )
+        with pytest.raises(CheckpointError, match="malformed"):
+            run_resilient_trials(
+                coin_trial, CONFIG, checkpoint_dir=tmp_path, resume=True
+            )
+
     def test_no_stray_tmp_files(self, tmp_path):
         run_resilient_trials(
             coin_trial, CONFIG, checkpoint_dir=tmp_path, checkpoint_every=1

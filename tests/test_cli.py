@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, InvalidParameterError
 
 
 class TestParser:
@@ -220,6 +220,16 @@ class TestRunCheckpoint:
         out = capsys.readouterr().out
         assert code == 0
         assert "resume with" in out
+
+    # The checks `fullview lifetime` makes, through the same helper.
+    def test_resume_without_checkpoint_is_rejected(self):
+        with pytest.raises(InvalidParameterError, match="requires a checkpoint_dir"):
+            main(["run", "EQ19", "--resume"])
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_time_budget_is_rejected(self, budget):
+        with pytest.raises(InvalidParameterError, match="time_budget must be positive"):
+            main(["run", "EQ19", "--time-budget", budget])
 
     @staticmethod
     def _resume(ckpt):
