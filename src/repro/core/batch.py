@@ -16,10 +16,10 @@ which pairs they hand it.  The *dense* path
 (:func:`covering_and_directions`) broadcasts every point against every
 sensor.  The *sparse* path (:func:`sparse_covering_pairs`), the one
 user of the fleet's cell index, prunes candidates through
-:meth:`ToroidalCellIndex.query_radius_batch` and evaluates only
-(point, sensor) pairs whose cells intersect the largest sensing disk —
-in the paper's regime (``r ~ sqrt(log n / n)``) that is ``O(log n)``
-pairs per point instead of ``n``.  :func:`_covering_pairs`
+:meth:`ToroidalCellIndex.query_radius_batch` and evaluates only the
+(point, sensor) pairs whose sector's bounding box overlaps the point's
+cell — in the paper's regime (``r ~ sqrt(log n / n)``) that is
+``O(log n)`` pairs per point instead of ``n``.  :func:`_covering_pairs`
 picks the path through :func:`repro.core.kernels.resolve_kernel` (the
 ``kernel=`` argument every public kernel accepts) and flattens either
 result into the same covering pairs, in ascending point order; each
@@ -132,10 +132,11 @@ class SparseCovering:
     """CSR covering data over candidate (point, sensor) pairs only.
 
     The sparse analogue of :func:`covering_and_directions`: row ``i``
-    of the CSR structure holds point ``i``'s candidate sensors (cells
-    intersecting the largest sensing disk — a superset of its covering
-    sensors), with the covering verdict and viewed direction evaluated
-    per pair by the same :func:`_pair_verdicts` as the dense path.
+    of the CSR structure holds point ``i``'s candidate sensors (every
+    sensor whose sector may contain the point: its bounding box
+    overlaps the point's cell — a superset of its covering sensors),
+    with the covering verdict and viewed direction evaluated per pair
+    by the same :func:`_pair_verdicts` as the dense path.
     Pairs outside the candidate set are guaranteed non-covering, so
     every per-point reduction over this structure matches its dense
     counterpart bit for bit.
@@ -181,12 +182,13 @@ class SparseCovering:
 def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCovering:
     """Covering verdicts and directions over candidate pairs only.
 
-    Candidates come from the fleet's cell index, built on demand and
-    cached on the fleet, so a caller evaluating one fleet in several
-    calls builds it once.  It is queried at the largest sensing radius
-    and returns a cell-level superset whose ranges carry their own
-    float slack, so a borderline pair can never be lost before the
-    exact test.  Each candidate pair is then evaluated by
+    Candidates come from the fleet's cell index of sector boxes,
+    built on demand and cached on the fleet, so a caller evaluating one
+    fleet in several calls builds it once.  It is queried at radius 0:
+    each point reads the one cell it sits in, which lists every sensor
+    whose sector may contain the point.  The boxes carry all the float
+    slack, so a borderline pair can never be lost before the exact
+    test.  Each candidate pair is then evaluated by
     :func:`_pair_verdicts`, as in the dense path, chunked to bound
     memory.
     """
@@ -202,7 +204,7 @@ def sparse_covering_pairs(fleet: SensorFleet, points: np.ndarray) -> SparseCover
         )
     index = fleet.index if fleet.index is not None else fleet.build_index()
     with span("sparse_pairs", points=m, sensors=n):
-        indptr, sensors = index.query_radius_batch(points, fleet.max_radius)
+        indptr, sensors = index.query_radius_batch(points, 0.0)
         nnz = sensors.shape[0]
         rows = np.repeat(np.arange(m, dtype=np.intp), np.diff(indptr))
         covers = np.empty(nnz, dtype=bool)

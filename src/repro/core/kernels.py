@@ -3,12 +3,13 @@
 The batch kernels in :mod:`repro.core.batch` come in two bit-identical
 flavours: the *dense* path materialises the full ``(points, sensors)``
 covering matrix, while the *sparse* path evaluates only candidate pairs
-pruned through :meth:`ToroidalCellIndex.query_radius_batch`, whose
-candidates cover about twice each sensing disk.  Which one wins depends
-on candidate density: in the paper's regime (``r ~ sqrt(log n / n)``)
+pruned through :meth:`ToroidalCellIndex.query_radius_batch`: the
+sensors whose own sector's bounding box overlaps the point's cell,
+about 2.5 times the sensors that cover it.  Which one wins depends on
+candidate density: in the paper's regime (``r ~ sqrt(log n / n)``)
 each point sees only ``O(log n)`` sensors and sparse is an order of
-magnitude cheaper, but for small fleets or disks covering about a third
-of the region or more the dense path's simpler memory traffic wins.
+magnitude cheaper, but for small fleets the dense path's one broadcast
+block wins.
 
 Every public kernel routes through :func:`resolve_kernel`, which picks
 the path by a density heuristic.  An explicit ``"dense"``/``"sparse"``
@@ -39,9 +40,11 @@ KERNEL_CHOICES = ("auto", "dense", "sparse")
 _SPARSE_MIN_PAIRS = 16_384
 
 #: Auto picks sparse only while a sensing disk covers at most this
-#: fraction of the region.  Measured, sparse still wins 1.4x at the
-#: cutoff (r ~ 0.28 on the unit torus) and crosses dense near a third
-#: of the region (DESIGN.md §8); the cutoff keeps a margin below that.
+#: fraction of the region.  Measured at the cutoff (r ~ 0.28 on the
+#: unit torus), sparse wins 4.1x for phi = pi/2 cameras but only 1.7x
+#: for phi = 2*pi disks, which fall under 1.4x near a third of the
+#: region and cross dense by half of it (DESIGN.md §8); the cutoff
+#: does not see phi, so it keeps that margin for disks.
 _SPARSE_DENSITY_CUTOFF = 0.25
 
 

@@ -16,8 +16,8 @@ is built on:
   the paper assumes, so boundary effects vanish.
 - :mod:`repro.geometry.grid` — the dense grid ``M`` with
   ``m >= n log n`` points used to discretise area coverage.
-- :mod:`repro.geometry.spatial` — a toroidal cell index, the sparse
-  batch kernel's candidate pruning for many points at once.
+- :mod:`repro.geometry.spatial` — a toroidal cell index of boxes, the
+  sparse batch kernel's candidate pruning for many points at once.
 """
 
 from repro.geometry.angles import (

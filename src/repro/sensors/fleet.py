@@ -14,8 +14,9 @@ check reduces to:
 Both are the readable scalar reference: a brute-force test of the point
 against every sensor, with no index and no vectorisation over points.
 The fleet also caches the :class:`~repro.geometry.spatial.ToroidalCellIndex`
-that the sparse batch kernel in :mod:`repro.core.batch` prunes its
-candidate pairs with; the per-point queries never read it.
+of its sensors' sector boxes that the sparse batch kernel in
+:mod:`repro.core.batch` prunes its candidate pairs with; the per-point
+queries never read it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,20 @@ _ANGLE_TOL = 1e-12
 
 #: Squared apex tolerance, mirroring :data:`repro.geometry.sector._APEX_TOL_SQ`.
 _APEX_TOL_SQ = 1e-24
+
+#: Slack of a sector's bounding box, in radians and in radii: the box
+#: spans every axis direction within this angle of the wedge and is
+#: padded by this fraction of the radius on every side, far past the
+#: verdicts' ``1e-12`` rad wedge tolerance.
+_BOX_SLACK = 1e-9
+
+#: Absolute padding of a sector's bounding box on every side: ten times
+#: the apex tolerance, inside which a sensor covers a point whatever its
+#: heading.
+_APEX_PAD = 1e-11
+
+#: The axis directions ``0, pi/2, pi, 3*pi/2`` a wedge may contain.
+_AXIS_DIRECTIONS = np.arange(4) * (0.5 * math.pi)
 
 
 class SensorFleet:
@@ -92,13 +107,22 @@ class SensorFleet:
     ) -> None:
         positions = np.asarray(positions, dtype=float).reshape(-1, 2)
         n = positions.shape[0]
-        orientations = normalize_angle(np.asarray(orientations, dtype=float).reshape(-1))
+        orientations = np.asarray(orientations, dtype=float).reshape(-1)
         radii = np.asarray(radii, dtype=float).reshape(-1)
         angles = np.asarray(angles, dtype=float).reshape(-1)
         if orientations.shape[0] != n or radii.shape[0] != n or angles.shape[0] != n:
             raise InvalidParameterError(
                 "positions, orientations, radii and angles must have equal length"
             )
+        for name, values in (
+            ("positions", positions),
+            ("orientations", orientations),
+            ("radii", radii),
+            ("angles", angles),
+        ):
+            if not np.isfinite(values).all():
+                raise InvalidParameterError(f"all sensor {name} must be finite")
+        orientations = normalize_angle(orientations)
         if n and (radii <= 0).any():
             raise InvalidParameterError("all sensing radii must be positive")
         if n and ((angles <= 0) | (angles > TWO_PI + 1e-12)).any():
@@ -240,15 +264,54 @@ class SensorFleet:
     # -- spatial index -------------------------------------------------------
 
     def build_index(self) -> ToroidalCellIndex:
-        """Build (and cache) the sparse kernel's index over sensor positions.
+        """Build (and cache) the sparse kernel's index of sensor sectors.
 
-        Cells are half the maximum sensing radius: a query at that
-        radius then scans about 5x5 cells, about twice the sensing
-        disk's area.
+        Each sensor is listed in every cell its own sector's bounding
+        box overlaps (:meth:`_sector_boxes`), so the cell a point sits
+        in holds every sensor whose sector may contain it.  Cells are a
+        quarter of the maximum sensing radius: a quarter-disk sector
+        then spans about 30 cells, and the cell a point reads holds
+        about 0.6 of a sensing disk's worth of sensors at ``phi =
+        pi/2`` (1.6 for ``phi = 2*pi`` disks; DESIGN.md §8).
         """
-        cell_size = 0.5 * self._max_radius if self._max_radius > 0 else self.region.side
-        self._index = ToroidalCellIndex(self._positions, cell_size, self.region)
+        cell_size = 0.25 * self._max_radius if self._max_radius > 0 else self.region.side
+        self._index = ToroidalCellIndex(
+            self._positions, cell_size, self.region, extents=self._sector_boxes()
+        )
         return self._index
+
+    def _sector_boxes(self) -> np.ndarray:
+        """Each sensor's sector bounding box, as offsets from its apex.
+
+        Returns ``(n, 4)`` offsets ``(left, bottom, right, top)``.  A
+        box spans the apex, both arc endpoints and the radius along
+        every axis direction the wedge contains, so it holds the whole
+        sector (the disk's box when ``phi = 2*pi``).  All of its float
+        slack errs wide: the axis-direction test is inclusive by
+        ``_BOX_SLACK`` rad, and every side is padded by ``_BOX_SLACK``
+        radii plus ``_APEX_PAD``.  On a torus the box is clipped to the
+        half-turn around the apex, because minimum-image displacements
+        never leave it.
+        """
+        radii, headings, half = self._radii, self._orientations, self._half_angles
+        start, stop = headings - half, headings + half
+        start_x, stop_x = radii * np.cos(start), radii * np.cos(stop)
+        start_y, stop_y = radii * np.sin(start), radii * np.sin(stop)
+        offset = np.abs(np.mod(_AXIS_DIRECTIONS - headings[:, None] + math.pi, TWO_PI) - math.pi)
+        reach = np.where(offset <= half[:, None] + _BOX_SLACK, radii[:, None], 0.0)
+        pad = _BOX_SLACK * radii + _APEX_PAD
+        boxes = np.column_stack(
+            [
+                np.minimum(np.minimum(start_x, stop_x), -reach[:, 2]) - pad,
+                np.minimum(np.minimum(start_y, stop_y), -reach[:, 3]) - pad,
+                np.maximum(np.maximum(start_x, stop_x), reach[:, 0]) + pad,
+                np.maximum(np.maximum(start_y, stop_y), reach[:, 1]) + pad,
+            ]
+        )
+        if self.region.torus:
+            half_turn = 0.5 * self.region.side
+            np.clip(boxes, -half_turn, half_turn, out=boxes)
+        return boxes
 
     @property
     def index(self) -> Optional[ToroidalCellIndex]:

@@ -24,7 +24,9 @@ from repro.core.conditions import (
 from repro.core.full_view import is_full_view_covered
 from repro.deployment.uniform import UniformDeployment
 from repro.errors import InvalidParameterError
+from repro.geometry.angles import TWO_PI
 from repro.geometry.intervals import max_circular_gap
+from repro.geometry.torus import UNIT_SQUARE, UNIT_TORUS
 from repro.sensors.fleet import SensorFleet
 from repro.sensors.model import CameraSpec, HeterogeneousProfile
 
@@ -85,13 +87,72 @@ def edge_fleet():
     )
 
 
+#: ``(orientation, angle of view, radius)`` of cameras whose wedge has
+#: an edge exactly on an axis direction (``orientation ± phi/2`` in
+#: ``{0, pi/2, pi, 3*pi/2}``), holds an axis direction inside, or is a
+#: whole disk; dyadic radii put ``apex ± r`` exactly at distance ``r``.
+AXIS_CAMERAS = (
+    (math.pi / 4, math.pi / 2, 0.125),
+    (3 * math.pi / 4, math.pi / 2, 0.3125),
+    (5 * math.pi / 4, math.pi / 2, 0.125),
+    (7 * math.pi / 4, math.pi / 2, 0.625),
+    (math.pi / 2, math.pi, 0.3125),
+    (math.pi, math.pi, 0.125),
+    (math.pi / 3, 2 * math.pi / 3, 0.3125),
+    (1.5 * math.pi + 0.3, 0.6, 0.625),
+    (0.0, math.pi / 2, 0.3125),
+    (math.pi / 2, 1.0, 0.625),
+    (0.0, TWO_PI, 0.125),
+    (2.0, TWO_PI, 0.625),
+)
+
+#: Dyadic apexes of ``AXIS_CAMERAS`` on the torus: on the seam, in its
+#: corners and inside.
+AXIS_APEXES_TORUS = (
+    (0.0, 0.375), (0.625, 0.0), (0.96875, 0.03125), (0.25, 0.75),
+    (0.5625, 0.4375), (0.125, 0.125), (0.875, 0.625), (0.375, 0.9375),
+    (0.71875, 0.28125), (0.0, 0.0), (0.46875, 0.5), (0.8125, 0.84375),
+)
+
+#: The same on the bounded square, four of them outside it.
+AXIS_APEXES_SQUARE = (
+    (1.09375, 0.5), (0.625, 0.0), (-0.0625, 0.3125), (0.25, 0.75),
+    (0.5625, 0.4375), (0.5, 1.1875), (0.875, 0.625), (-0.09375, -0.09375),
+    (0.71875, 0.28125), (0.0, 0.0), (0.46875, 0.5), (0.8125, 0.84375),
+)
+
+
+def axis_case(apexes, region):
+    """``AXIS_CAMERAS`` at ``apexes``, probed at each apex, each arc
+    endpoint, ``±r`` along both axes and on the seam."""
+    orientations, angles, radii = (np.array(column) for column in zip(*AXIS_CAMERAS))
+    fleet = SensorFleet(
+        positions=np.array(apexes),
+        orientations=orientations,
+        radii=radii,
+        angles=angles,
+        region=region,
+    )
+    probes = [EDGE_PROBES]
+    for (x, y), f, phi, r in zip(apexes, orientations, angles, radii):
+        edges = f + np.array([-0.5, 0.5]) * phi
+        probes.append([(x, y), (x + r, y), (x - r, y), (x, y + r), (x, y - r)])
+        probes.append(np.column_stack([x + r * np.cos(edges), y + r * np.sin(edges)]))
+    return fleet, np.vstack(probes)
+
+
 @pytest.fixture(scope="module")
 def cases(fleet, points, edge_fleet):
     """(fleet, points) inputs of the scalar-reference tests."""
     edge_points = np.vstack(
         [EDGE_PROBES, np.random.default_rng(8).uniform(size=(30, 2))]
     )
-    return ((fleet, points), (edge_fleet, edge_points))
+    return (
+        (fleet, points),
+        (edge_fleet, edge_points),
+        axis_case(AXIS_APEXES_TORUS, UNIT_TORUS),
+        axis_case(AXIS_APEXES_SQUARE, UNIT_SQUARE),
+    )
 
 
 def scalar_directions(fleet, points):

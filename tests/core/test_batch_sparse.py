@@ -41,7 +41,9 @@ SEAM_POINTS = np.array(
 )
 
 
-def make_fleet(n: int, seed: int, radius: float = 0.2, mix: bool = True) -> SensorFleet:
+def make_fleet(
+    n: int, seed: int, radius: float = 0.2, mix: bool = True, angle: float = math.pi / 2
+) -> SensorFleet:
     if n == 0:
         return SensorFleet(
             positions=np.empty((0, 2)),
@@ -52,13 +54,13 @@ def make_fleet(n: int, seed: int, radius: float = 0.2, mix: bool = True) -> Sens
     if mix and n > 1:
         profile = HeterogeneousProfile.from_pairs(
             [
-                (CameraSpec(radius=radius, angle_of_view=math.pi / 2), 0.4),
+                (CameraSpec(radius=radius, angle_of_view=angle), 0.4),
                 (CameraSpec(radius=0.6 * radius, angle_of_view=2.0), 0.6),
             ]
         )
     else:
         profile = HeterogeneousProfile.homogeneous(
-            CameraSpec(radius=radius, angle_of_view=math.pi / 2)
+            CameraSpec(radius=radius, angle_of_view=angle)
         )
     return UniformDeployment().deploy(profile, n, np.random.default_rng(seed))
 
@@ -130,18 +132,25 @@ class TestSparseCoveringPairs:
         assert sp.num_points == 0
 
     @pytest.mark.parametrize(
-        "radius", [math.sqrt(math.log(2000) / 2000), 0.1, 0.2, 0.25]
+        "radius,mix",
+        [
+            pytest.param(radius, mix, id=f"two-groups-{radius}" if mix else str(radius))
+            for mix in (False, True)
+            for radius in (math.sqrt(math.log(2000) / 2000), 0.1, 0.2, 0.25)
+        ],
     )
-    def test_candidate_budget(self, radius):
-        # Candidates must hug the sensing disk, including at radii that
-        # divide the unit side exactly: at most three disks' worth of
-        # sensors per point on average.
+    def test_candidate_budget(self, radius, mix):
+        # Candidates must hug each sensor's own sector, including at
+        # radii that divide the unit side exactly and for small sensors
+        # beside large ones: at most three times the expected number of
+        # covering sensors per point, sum_j phi_j r_j^2 / 2 on the unit
+        # torus.
         n = 2000
-        fleet = make_fleet(n, seed=0, radius=radius, mix=False)
+        fleet = make_fleet(n, seed=0, radius=radius, mix=mix)
         points = np.random.default_rng(1).uniform(size=(256, 2))
         sp = sparse_covering_pairs(fleet, points)
         per_point = sp.sensors.shape[0] / sp.num_points
-        assert per_point <= 3 * math.pi * radius**2 * n
+        assert per_point <= 3 * fleet.sensing_areas().sum()
 
 
 class TestBitIdentity:
@@ -177,9 +186,18 @@ class TestBitIdentity:
     def test_whole_torus_radius_candidates_are_all_sensors(self):
         # When a sensing disk spans the region the candidate superset
         # must degrade gracefully to the full sensor list.
-        fleet = make_fleet(20, seed=8, radius=0.9, mix=False)
+        fleet = make_fleet(20, seed=8, radius=0.9, mix=False, angle=2 * math.pi)
         sp = sparse_covering_pairs(fleet, SEAM_POINTS)
         assert np.all(np.diff(sp.indptr) == len(fleet))
+
+    def test_whole_torus_radius_candidates_hold_covering_sensors(self):
+        # A sector reaching past the half-turn lists, at every seam
+        # probe, each sensor the scalar path says covers it.
+        fleet = make_fleet(20, seed=8, radius=0.9, mix=False)
+        sp = sparse_covering_pairs(fleet, SEAM_POINTS)
+        for i, (x, y) in enumerate(SEAM_POINTS):
+            row = set(sp.sensors[sp.indptr[i] : sp.indptr[i + 1]].tolist())
+            assert set(fleet.covering((float(x), float(y))).tolist()) <= row
 
     @settings(max_examples=25, deadline=None)
     @given(

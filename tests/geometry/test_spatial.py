@@ -19,22 +19,53 @@ def rows(indptr, indices):
     return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(len(indptr) - 1)]
 
 
-def within_squared(points, probe, radius, region):
-    """Ids passing the kernels' exact test: ``dist² <= r²`` under
-    ``Region.displacements`` of the raw coordinates."""
-    delta = region.displacements(probe, points)
-    return set(np.flatnonzero(delta[:, 0] ** 2 + delta[:, 1] ** 2 <= radius**2).tolist())
+def within_squared(points, probe, radius, region, extents=None):
+    """Ids whose box lies within ``radius`` of the probe.
+
+    The probe's offset from each anchor is the kernels' wrapped
+    displacement ``Region.displacements`` of the raw coordinates,
+    negated, so for zero-size boxes this is their exact ``dist² <= r²``
+    test.  On a torus the box is read modulo the region: the nearest of
+    the offset's images one side either way counts.
+    """
+    rel = -region.displacements(probe, points)
+    if extents is None:
+        extents = np.zeros((rel.shape[0], 4))
+    extents = np.asarray(extents, dtype=float)
+    shifts = (-region.side, 0.0, region.side) if region.torus else (0.0,)
+    images = rel[:, :, None] + np.array(shifts)
+    low, high = extents[:, :2, None], extents[:, 2:, None]
+    gap = np.maximum(np.maximum(low - images, images - high), 0.0).min(axis=2)
+    return set(np.flatnonzero(gap[:, 0] ** 2 + gap[:, 1] ** 2 <= radius**2).tolist())
 
 
-def assert_superset(points, probes, radius, cell, region=UNIT_TORUS):
-    """Batch rows hold every pair the kernels' exact test keeps."""
+def assert_superset(points, probes, radius, cell, region=UNIT_TORUS, extents=None):
+    """Batch rows hold every member whose box lies within ``radius``:
+    at radius 0, every member whose box contains the probe."""
     points = np.asarray(points, dtype=float)
     probes = np.asarray(probes, dtype=float)
-    idx = ToroidalCellIndex(points, cell_size=cell, region=region)
+    idx = ToroidalCellIndex(points, cell_size=cell, region=region, extents=extents)
     indptr, indices = idx.query_radius_batch(probes, radius)
     for probe, row in zip(map(tuple, probes), rows(indptr, indices)):
-        missing = within_squared(points, probe, radius, region) - set(row)
+        missing = within_squared(points, probe, radius, region, extents) - set(row)
         assert not missing, (probe, radius, cell, points[sorted(missing)])
+
+
+@st.composite
+def boxes(draw, count, step=None):
+    """``count`` box offsets ``(left, bottom, right, top)``: zero-size,
+    thin and wider than the torus, on a ``step`` lattice if given."""
+    if step is None:
+        low = st.floats(min_value=-0.7, max_value=0.3)
+        span = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.2))
+    else:
+        low = st.integers(-14, 6).map(lambda k: k * step)
+        span = st.integers(0, 24).map(lambda k: k * step)
+    rows_ = []
+    for _ in range(count):
+        x, y, w, h = draw(st.tuples(low, low, span, span))
+        rows_.append((x, y, x + w, y + h))
+    return np.array(rows_, dtype=float).reshape(-1, 4)
 
 
 class TestConstruction:
@@ -187,10 +218,14 @@ class TestQueryRadiusBatch:
         st.lists(st.tuples(coords, coords), min_size=1, max_size=10),
         st.floats(min_value=0.01, max_value=0.6),
         st.floats(min_value=0.02, max_value=0.3),
+        st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force_property(self, pts, probes, radius, cell):
+    def test_matches_brute_force_property(self, pts, probes, radius, cell, data):
         assert_superset(pts, probes, radius, cell)
+        extents = data.draw(boxes(len(pts)))
+        for r in (0.0, radius):
+            assert_superset(pts, probes, r, cell, extents=extents)
 
 
 def lattice(step):
@@ -244,23 +279,30 @@ class TestSupersetAdversarial:
         st.integers(1, 8),
         st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25]),
         st.booleans(),
+        st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_lattice_property(self, pts, probes, steps, cell, torus):
-        # Coordinates and radii on a 0.05 lattice put points on cell
-        # boundaries and at distance exactly r, inside and outside the
-        # square.
+    def test_lattice_property(self, pts, probes, steps, cell, torus, data):
+        # Coordinates, radii and box ends on a 0.05 lattice put points
+        # and box edges on cell boundaries and at distance exactly r,
+        # inside and outside the square.
         region = UNIT_TORUS if torus else UNIT_SQUARE
-        assert_superset(
-            np.array(pts) * 0.05, np.array(probes) * 0.05, steps * 0.05, cell, region
-        )
+        pts, probes = np.array(pts) * 0.05, np.array(probes) * 0.05
+        assert_superset(pts, probes, steps * 0.05, cell, region)
+        extents = data.draw(boxes(len(pts), step=0.05))
+        for radius in (0.0, steps * 0.05):
+            assert_superset(pts, probes, radius, cell, region, extents)
 
     @given(
         st.lists(st.tuples(wide, wide), min_size=1, max_size=40),
         st.lists(st.tuples(wide, wide), min_size=1, max_size=8),
         st.floats(min_value=0.0, max_value=0.6),
         st.floats(min_value=0.02, max_value=0.3),
+        st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_bounded_square_property(self, pts, probes, radius, cell):
+    def test_bounded_square_property(self, pts, probes, radius, cell, data):
         assert_superset(pts, probes, radius, cell, UNIT_SQUARE)
+        extents = data.draw(boxes(len(pts)))
+        for r in (0.0, radius):
+            assert_superset(pts, probes, r, cell, UNIT_SQUARE, extents)

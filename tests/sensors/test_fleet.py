@@ -60,6 +60,21 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             make_fleet([[0.5, 0.5]], [0.0], angle=TWO_PI + 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("array", ["positions", "orientations", "radii", "angles"])
+    def test_non_finite_rejected(self, array, bad):
+        # nan passes every ordering test, so each array is checked for
+        # finite values before any index or kernel reads it.
+        arrays = dict(
+            positions=np.array([[0.5, 0.5], [0.2, 0.7]]),
+            orientations=np.array([0.0, 1.0]),
+            radii=np.array([0.2, 0.3]),
+            angles=np.array([1.0, 2.0]),
+        )
+        arrays[array].flat[1] = bad
+        with pytest.raises(InvalidParameterError, match=array):
+            SensorFleet(**arrays)
+
     def test_positions_wrapped(self):
         fleet = make_fleet([[1.2, -0.3]], [0.0])
         assert np.allclose(fleet.positions, [[0.2, 0.7]])

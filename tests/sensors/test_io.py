@@ -53,6 +53,16 @@ class TestRoundTrip:
         with pytest.raises(InvalidParameterError):
             load_fleet(tmp_path / "nothing.npz")
 
+    def test_non_finite_radius_rejected(self, small_fleet, tmp_path):
+        path = save_fleet(small_fleet, tmp_path / "fleet.npz")
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["radii"] = arrays["radii"].copy()
+        arrays["radii"][0] = np.inf
+        np.savez(path, **arrays)
+        with pytest.raises(InvalidParameterError, match="radii"):
+            load_fleet(path)
+
     def test_creates_directories(self, small_fleet, tmp_path):
         path = save_fleet(small_fleet, tmp_path / "deep" / "dir" / "fleet.npz")
         assert path.exists()

@@ -25,6 +25,7 @@ from repro import (
 )
 from repro.core.csa import csa_necessary, csa_sufficient
 from repro.core.full_view import is_full_view_covered
+from repro.errors import InvalidParameterError
 from repro.core.poisson_theory import poisson_necessary_probability
 from repro.core.uniform_theory import necessary_failure_probability
 from repro.geometry.intervals import AngularInterval
@@ -147,17 +148,15 @@ class TestFullViewFuzz:
 
 class TestFleetFuzz:
     def test_nan_position_rejected_or_harmless(self):
-        """A NaN position must not silently corrupt coverage queries."""
-        fleet = SensorFleet(
-            positions=np.array([[np.nan, 0.5], [0.5, 0.5]]),
-            orientations=np.array([0.0, math.pi]),
-            radii=np.array([0.2, 0.2]),
-            angles=np.array([1.0, 1.0]),
-        )
-        covering = fleet.covering((0.5, 0.5))
-        # The NaN sensor can never cover anything; the valid one obeys
-        # plain geometry.
-        assert 0 not in covering.tolist()
+        """A NaN position must not silently corrupt coverage queries:
+        the fleet rejects it."""
+        with pytest.raises(InvalidParameterError, match="positions"):
+            SensorFleet(
+                positions=np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                orientations=np.array([0.0, math.pi]),
+                radii=np.array([0.2, 0.2]),
+                angles=np.array([1.0, 1.0]),
+            )
 
     @given(st.integers(min_value=-3, max_value=3))
     def test_config_trials(self, trials):
